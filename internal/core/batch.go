@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"aaws/internal/kernels"
 	"aaws/internal/model"
 )
 
@@ -30,48 +29,30 @@ import (
 // through that projection, and the common sweep shape (one kernel, five
 // variants) collapses to at most two partitions per kernel.
 type partitionKey struct {
-	kernel            string
-	nBig, nLit        int
-	mode              model.Mode
-	lutAlpha, lutBeta float64 // 0,0 = kernel's true alpha/beta
-	interruptCycles   int     // resolved (0 means the default 20)
-	transitionNs      float64
-	memStall          bool
-	// topo is the resolved N-way topology signature; empty for legacy
-	// 2-class cells, including topologies that collapse onto the legacy
-	// machine (those share the legacy partition, and its environment, by
-	// design). Elastic mode is deliberately NOT part of the key: like the
-	// variant and seed it is a per-cell runtime knob applied by runCell.
-	topo string
+	kernel string
+	// topo is the resolved topology signature: the class counts and the
+	// parameters the table is generated from (for the paper's pair, the
+	// LUTAlpha/LUTBeta estimates when set). A 2-entry topology that
+	// resolves to the kernel's big.LITTLE pair shares the System/NBig/NLit
+	// partition, and its environment, by construction. Elastic mode is
+	// deliberately NOT part of the key: like the variant and seed it is a
+	// per-cell runtime knob applied by runCell.
+	topo            string
+	mode            model.Mode
+	interruptCycles int // resolved (0 means the default 20)
+	transitionNs    float64
+	memStall        bool
 }
 
 // partitionKeyOf computes the signature of a validated spec.
 func partitionKeyOf(spec Spec) partitionKey {
-	nBig, nLit := spec.counts()
-	topoSig := ""
-	if len(spec.Topology) > 0 {
-		t, err := resolveTopology(spec.Topology, kernels.Get(spec.Kernel))
-		if err != nil {
-			panic(err) // unreachable: the batch validated every spec
-		}
-		if t.legacy {
-			nBig, nLit = t.nBig, t.nLit
-		} else {
-			nBig, nLit = 0, 0
-			topoSig = t.sig
-		}
-	}
 	return partitionKey{
 		kernel:          spec.Kernel,
-		nBig:            nBig,
-		nLit:            nLit,
+		topo:            mustResolve(spec).sig,
 		mode:            spec.Variant.LUTMode(),
-		lutAlpha:        spec.LUTAlpha,
-		lutBeta:         spec.LUTBeta,
 		interruptCycles: spec.InterruptCycles,
 		transitionNs:    spec.TransitionNsPerStep,
 		memStall:        spec.MemStall,
-		topo:            topoSig,
 	}
 }
 

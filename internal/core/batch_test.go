@@ -217,10 +217,11 @@ func TestLUTCacheLRU(t *testing.T) {
 	// Distinct core mixes give distinct keys; the params stay fixed.
 	p := power.DefaultParams()
 	probe := func(nLit int) lutKey {
-		if cachedLUT(p, 1, nLit, model.ModeNominal) == nil {
+		topo := pairTopology(p, p, 1, nLit)
+		if cachedLUT(topo, model.ModeNominal) == nil {
 			t.Fatalf("cachedLUT returned nil for 1B%dL", nLit)
 		}
-		return lutKey{params: p, nBig: 1, nLit: nLit, mode: model.ModeNominal}
+		return lutKey{topo: topo.sig, mode: model.ModeNominal}
 	}
 	contains := func(k lutKey) bool {
 		lutCache.Lock()

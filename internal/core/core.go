@@ -99,7 +99,7 @@ type Spec struct {
 	NBig, NLit int
 	// Topology, when non-empty, replaces the 2-class core mix with an
 	// N-way class list (fastest first; see CoreClass for defaults and the
-	// legacy-collapse rule). Mutually exclusive with NBig/NLit, and — like
+	// big.LITTLE-pair rule). Mutually exclusive with NBig/NLit, and — like
 	// every field added after the seed — omitted from the canonical spec
 	// encoding when unset, so existing spec hashes are unchanged.
 	Topology []CoreClass `json:",omitempty"`
@@ -158,40 +158,26 @@ func (s Spec) Validate() error {
 	if !known {
 		return fmt.Errorf("core: unknown runtime variant %d", int(s.Variant))
 	}
-	numCores := 0
 	if len(s.Topology) > 0 {
 		if s.NBig > 0 || s.NLit > 0 {
 			return fmt.Errorf("core: Topology and NBig/NLit are mutually exclusive")
 		}
-		if s.AdaptiveDVFS {
-			return fmt.Errorf("core: adaptive DVFS is not supported with an N-way topology")
-		}
+		// A per-class estimate is undefined: the overrides name one
+		// (alpha, beta) pair.
 		if s.LUTAlpha > 0 || s.LUTBeta > 0 {
 			return fmt.Errorf("core: LUTAlpha/LUTBeta overrides are not supported with an N-way topology")
 		}
-		t, err := resolveTopology(s.Topology, kernels.Get(s.Kernel))
-		if err != nil {
-			return err
-		}
-		numCores = t.numCores()
-	} else {
-		nBig, nLit := s.counts()
-		numCores = nBig + nLit
+	}
+	t, err := resolveTopology(s, kernels.Get(s.Kernel))
+	if err != nil {
+		return err
 	}
 	if s.Faults != nil {
-		if err := s.Faults.Validate(numCores); err != nil {
+		if err := s.Faults.Validate(t.numCores()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// counts resolves the effective core mix.
-func (s Spec) counts() (nBig, nLit int) {
-	if s.NBig > 0 {
-		return s.NBig, s.NLit
-	}
-	return s.System.Counts()
 }
 
 // DefaultSpec returns a Spec with the evaluation defaults.
@@ -260,15 +246,11 @@ func (r Result) SpeedupVsBig() float64 {
 }
 
 // lutKey identifies a DVFS lookup table by everything generation depends
-// on. power.Params is a flat struct of float64s, so the key is comparable.
-// topo is empty for legacy 2-class tables; for N-way tables it is the
-// resolved topology signature (which pins every class's count, speed and
-// power) and the params/nBig/nLit fields stay zero.
+// on: the resolved topology signature (which pins every class's count and
+// the parameters the table is generated from) and the mode.
 type lutKey struct {
-	params     power.Params
-	nBig, nLit int
-	mode       model.Mode
-	topo       string
+	topo string
+	mode model.Mode
 }
 
 // lutNode is one entry in the LRU list (most recently used at head).
@@ -325,8 +307,8 @@ func lutMoveToFront(n *lutNode) {
 	}
 }
 
-func cachedLUT(params power.Params, nBig, nLit int, mode model.Mode) *model.LUT {
-	key := lutKey{params: params, nBig: nBig, nLit: nLit, mode: mode}
+func cachedLUT(t topology, mode model.Mode) *model.LUT {
+	key := lutKey{topo: t.sig, mode: mode}
 	c := &lutCache
 	c.Lock()
 	if n, ok := c.m[key]; ok {
@@ -339,7 +321,7 @@ func cachedLUT(params power.Params, nBig, nLit int, mode model.Mode) *model.LUT 
 	// serialize unrelated cache hits. Two goroutines racing on the same key
 	// may both generate; the table is deterministic, so either copy is
 	// interchangeable and the loser's work is merely wasted.
-	lut := model.GenerateLUT(model.Config{Params: params, NBig: nBig, NLit: nLit}, mode)
+	lut := t.generateLUT(mode)
 	c.Lock()
 	if n, ok := c.m[key]; ok {
 		lutMoveToFront(n)
@@ -374,58 +356,40 @@ func Run(spec Spec) (Result, error) {
 }
 
 // cellEnv is the spec-invariant execution state one sweep cell needs: the
-// resolved kernel, core mix, power parameters, DVFS lookup table, a warm
-// simulation engine, and a reusable region tracker. RunCtx builds one per
-// call; the batch path builds one per partition and pins it across every
-// cell that shares the same partition signature.
+// resolved kernel and core mix, the DVFS lookup table, a warm simulation
+// engine, and a reusable region tracker. RunCtx builds one per call; the
+// batch path builds one per partition and pins it across every cell that
+// shares the same partition signature.
 type cellEnv struct {
-	k          *kernels.Kernel
-	nBig, nLit int
-	p          power.Params
-	lut        *model.LUT
-	eng        *sim.Engine
-	tracker    *stats.Tracker
-	// topo is non-nil on the N-way path: a topology that did not collapse
-	// onto the legacy 2-class machine.
-	topo *topology
+	k       *kernels.Kernel
+	topo    topology
+	lut     *model.LUT
+	eng     *sim.Engine
+	tracker *stats.Tracker
 }
 
-// newCellEnv resolves the environment for a validated spec: power params
-// from the kernel's Table III alpha/beta, the (cached) lookup table, a
-// warm engine from the retention cache, and a fresh tracker sized for the
-// core mix. An N-way topology that collapses onto the kernel's big.LITTLE
-// pair resolves to exactly the legacy environment.
+// mustResolve resolves a validated spec's core mix.
+func mustResolve(spec Spec) topology {
+	t, err := resolveTopology(spec, kernels.Get(spec.Kernel))
+	if err != nil {
+		// Unreachable after Validate; fail loudly rather than run a
+		// machine the spec did not describe.
+		panic(err)
+	}
+	return t
+}
+
+// newCellEnv resolves the environment for a validated spec: the core mix,
+// the (cached) lookup table, a warm engine from the retention cache, and a
+// fresh tracker sized for the core mix.
 func newCellEnv(spec Spec) cellEnv {
-	k := kernels.Get(spec.Kernel)
-	nBig, nLit := spec.counts()
-	if len(spec.Topology) > 0 {
-		t, err := resolveTopology(spec.Topology, k)
-		if err != nil {
-			// Unreachable after Validate; fail loudly rather than run a
-			// machine the spec did not describe.
-			panic(err)
-		}
-		if !t.legacy {
-			return cellEnv{
-				k: k, p: power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta),
-				lut:     cachedNWayLUT(t, spec.Variant.LUTMode()),
-				eng:     engines.get(),
-				tracker: stats.NewTracker(t.trackerClasses()),
-				topo:    &t,
-			}
-		}
-		nBig, nLit = t.nBig, t.nLit
-	}
-	p := power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta)
-	lutParams := p
-	if spec.LUTAlpha > 0 && spec.LUTBeta > 0 {
-		lutParams = p.WithAlphaBeta(spec.LUTAlpha, spec.LUTBeta)
-	}
-	lut := cachedLUT(lutParams, nBig, nLit, spec.Variant.LUTMode())
+	t := mustResolve(spec)
 	return cellEnv{
-		k: k, nBig: nBig, nLit: nLit, p: p, lut: lut,
+		k:       kernels.Get(spec.Kernel),
+		topo:    t,
+		lut:     cachedLUT(t, spec.Variant.LUTMode()),
 		eng:     engines.get(),
-		tracker: stats.NewTracker(coreClasses(nBig, nLit)),
+		tracker: stats.NewTracker(t.trackerClasses()),
 	}
 }
 
@@ -455,18 +419,12 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 // cache: aborted runs leave a drained root-program goroutine that may
 // still briefly reference the engine, so they forfeit it.
 func runCell(ctx context.Context, spec Spec, env *cellEnv) (_ Result, reuse bool, _ error) {
-	eng, k, p := env.eng, env.k, env.p
+	eng, k := env.eng, env.k
 	eng.Reset()
 	env.tracker.Reset()
 	mcfg := machine.Config{
-		BigCores: env.nBig, LittleCores: env.nLit, Params: p, LUT: env.lut, InterruptCycles: 20,
+		Classes: env.topo.classes, LUT: env.lut, InterruptCycles: 20,
 		TransitionNsPerStep: spec.TransitionNsPerStep,
-	}
-	numCores := env.nBig + env.nLit
-	if env.topo != nil {
-		mcfg.BigCores, mcfg.LittleCores = 0, 0
-		mcfg.Classes = env.topo.machineClasses()
-		numCores = env.topo.numCores()
 	}
 	if spec.InterruptCycles > 0 {
 		mcfg.InterruptCycles = spec.InterruptCycles
@@ -484,7 +442,7 @@ func runCell(ctx context.Context, spec Spec, env *cellEnv) (_ Result, reuse bool
 	var rec *trace.Recorder
 	var st *obs.Trace
 	if spec.WithTrace {
-		rec = trace.NewRecorder(numCores)
+		rec = trace.NewRecorder(m.NumCores())
 		st = obs.NewTrace(0)
 	}
 	if rec != nil {
@@ -525,7 +483,7 @@ func runCell(ctx context.Context, spec Spec, env *cellEnv) (_ Result, reuse bool
 	if spec.AdaptiveDVFS {
 		tuner := dvfs.NewTuner(eng, m.Ctl,
 			dvfs.Sensors{Retired: m.TotalRetired, Power: m.InstantPower},
-			p.TargetPower(env.nBig, env.nLit), p.VF, dvfs.DefaultTunerConfig(), rt.Running)
+			env.topo.targetPower(), env.topo.classes[0].Params.VF, dvfs.DefaultTunerConfig(), rt.Running)
 		m.Ctl.SetTuner(tuner)
 		tuner.Start()
 	}
@@ -594,16 +552,4 @@ func MustRun(spec Spec) Result {
 			spec.Kernel, spec.System, spec.Variant, r.CheckErr))
 	}
 	return r
-}
-
-func coreClasses(nBig, nLit int) []power.CoreClass {
-	cls := make([]power.CoreClass, nBig+nLit)
-	for i := range cls {
-		if i < nBig {
-			cls[i] = power.Big
-		} else {
-			cls[i] = power.Little
-		}
-	}
-	return cls
 }

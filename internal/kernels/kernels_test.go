@@ -17,7 +17,7 @@ func runKernel(t testing.TB, k *Kernel, v wsrt.Variant, nBig, nLit int, scale fl
 	lut := model.GenerateLUT(model.Config{Params: p, NBig: nBig, NLit: nLit}, v.LUTMode())
 	eng := sim.NewEngine()
 	m, err := machine.New(eng, machine.Config{
-		BigCores: nBig, LittleCores: nLit, Params: p, LUT: lut, InterruptCycles: 20,
+		Classes: machine.BigLittle(p, nBig, nLit), LUT: lut, InterruptCycles: 20,
 	})
 	if err != nil {
 		t.Fatal(err)

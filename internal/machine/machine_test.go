@@ -41,14 +41,18 @@ func TestValidation(t *testing.T) {
 	p := power.DefaultParams()
 	lut := model.GenerateLUT(model.Config{Params: p, NBig: 4, NLit: 4}, model.ModeNominal)
 	eng := sim.NewEngine()
-	if _, err := New(eng, Config{BigCores: 0, LittleCores: 8, Params: p, LUT: lut}); err == nil {
+	if _, err := New(eng, Config{Classes: BigLittle(p, 0, 8), LUT: lut}); err == nil {
 		t.Error("accepted a machine with no big core")
 	}
-	if _, err := New(eng, Config{BigCores: 2, LittleCores: 6, Params: p, LUT: lut}); err == nil {
+	if _, err := New(eng, Config{Classes: BigLittle(p, 2, 6), LUT: lut}); err == nil {
 		t.Error("accepted a LUT/machine shape mismatch")
 	}
-	if _, err := New(eng, Config{BigCores: 4, LittleCores: 4, Params: p}); err == nil {
+	if _, err := New(eng, Config{Classes: BigLittle(p, 4, 4)}); err == nil {
 		t.Error("accepted nil LUT")
+	}
+	three := append(BigLittle(p, 4, 4), ClassConfig{Count: 1, Params: p, Class: power.Little})
+	if _, err := New(eng, Config{Classes: three, LUT: lut}); err == nil {
+		t.Error("accepted a LUT with fewer classes than the machine")
 	}
 }
 

@@ -11,7 +11,10 @@
 // bracketed golden-section search maximizes throughput over the big voltage.
 //
 // The same machinery generates the lookup tables used by the DVFS
-// controller (Section III-A): one entry per (#active big, #active little).
+// controller (Section III-A): one entry per per-class activity vector, which
+// for the paper's system is (#active big, #active little). Optimize solves
+// the paper's 2-class problem; OptimizeN (nway.go) generalizes it to any
+// number of classes.
 package model
 
 import (

@@ -12,8 +12,14 @@ import (
 // with its own count and power parameters. Every class c is encoded as the
 // "big" side of its own power.Params (IPC(Big) = speed_c, alpha = power_c,
 // with the leakage current derived from the class's own nominal power), so
-// the per-class polynomial constants match the 2-class model exactly and
-// the legacy path needs no changes.
+// the per-class polynomial constants match the 2-class model exactly.
+//
+// OptimizeN does not replace Optimize at k=2: it encodes the little class's
+// leakage from its own nominal power (not the paper's Gamma fraction of the
+// big core's) and searches the multiplier instead of the big voltage, so its
+// operating points differ in the last bits. GenerateLUT keeps Optimize as
+// the paper's reference solver; GenerateNWayLUT uses OptimizeN. Both fill
+// the same LUT.
 //
 // The optimum still equalizes marginal power cost per unit throughput
 // across classes (equation 7). With N classes the scan+golden search over
@@ -252,115 +258,4 @@ func OptimizeN(c NConfig, act []int, rest bool) NResult {
 	res.Feasible = pt
 	res.SpeedupFeasible = pt.IPS / base
 	return res
-}
-
-// NTable is the N-way DVFS lookup table: one per-class voltage vector per
-// activity combination, flat-indexed in mixed radix over the class counts.
-type NTable struct {
-	// Counts holds the per-class core counts (radix c is Counts[c]+1).
-	Counts []int
-	// Entries[Index(act)] is the per-class voltage vector for activity act.
-	Entries [][]float64
-	// VRest is the voltage commanded for inactive or parked cores.
-	VRest float64
-}
-
-// Index flattens an activity vector (clamped into range) to an entry index.
-func (t *NTable) Index(act []int) int {
-	idx := 0
-	for c, n := range act {
-		if n < 0 {
-			n = 0
-		}
-		if n > t.Counts[c] {
-			n = t.Counts[c]
-		}
-		idx = idx*(t.Counts[c]+1) + n
-	}
-	return idx
-}
-
-// Lookup returns the stored per-class voltage vector for an activity
-// combination. The returned slice is shared table storage: callers must
-// not mutate it.
-func (t *NTable) Lookup(act []int) []float64 {
-	return t.Entries[t.Index(act)]
-}
-
-// GenerateNWayLUT builds the DVFS lookup table for an N-way system. The
-// result is a *LUT whose NWay table carries the per-class voltages; the
-// legacy Entries grid is left as a single nominal cell so diagnostics that
-// render it stay well-defined. Serial-sprinting semantics match GenerateLUT.
-func GenerateNWayLUT(c NConfig, mode Mode) *LUT {
-	vm := c.Classes[0].Params.VF
-	t := &LUT{
-		SerialSprint: true,
-		SerialV:      vm.VMax,
-		RestInactive: mode == ModePacingSprinting,
-		VRest:        vf.VNominal,
-		Entries:      [][]VPair{{{VBig: vf.VNominal, VLit: vf.VNominal}}},
-	}
-	if t.RestInactive {
-		t.VRest = vm.VMin
-	}
-	counts := c.Counts()
-	size := 1
-	for _, n := range counts {
-		size *= n + 1
-	}
-	nt := &NTable{Counts: counts, Entries: make([][]float64, size), VRest: t.VRest}
-	nominal := make([]float64, len(counts))
-	for i := range nominal {
-		nominal[i] = vf.VNominal
-	}
-
-	act := make([]int, len(counts))
-	for idx := 0; idx < size; idx++ {
-		// Decode idx into the activity vector (mixed radix, class 0 most
-		// significant — matching Index).
-		rem := idx
-		for ci := len(counts) - 1; ci >= 0; ci-- {
-			act[ci] = rem % (counts[ci] + 1)
-			rem /= counts[ci] + 1
-		}
-		entry := append([]float64(nil), nominal...)
-		switch mode {
-		case ModeNominal:
-			// all nominal
-		case ModePacing:
-			full := true
-			for ci, n := range act {
-				if n != counts[ci] {
-					full = false
-					break
-				}
-			}
-			if full {
-				r := OptimizeN(c, act, false)
-				copy(entry, r.Feasible.V)
-			}
-		case ModePacingSprinting:
-			anyActive := false
-			for _, n := range act {
-				if n > 0 {
-					anyActive = true
-					break
-				}
-			}
-			if anyActive {
-				r := OptimizeN(c, act, true)
-				copy(entry, r.Feasible.V)
-			}
-			// Inactive (or fully idle) classes keep a defined resting
-			// voltage so the controller always has a target for every core.
-			for ci, n := range act {
-				if n == 0 || !anyActive {
-					entry[ci] = vm.VMin
-				}
-			}
-		}
-		nt.Entries[idx] = entry
-	}
-	t.NWay = nt
-	return t
 }
