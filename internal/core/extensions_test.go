@@ -54,17 +54,22 @@ func TestAdaptiveDVFSHarmlessWhenMatched(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDVFSCorrectness: the tuner must not break results.
+// TestAdaptiveDVFSCorrectness: the tuner must not break results, on the
+// paper's 4B4L system or on a 3-class topology (where it tunes one offset
+// per class).
 func TestAdaptiveDVFSCorrectness(t *testing.T) {
-	spec := DefaultSpec("radix-2", Sys4B4L, wsrt.BasePSM)
-	spec.Scale = 0.5
-	spec.AdaptiveDVFS = true
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CheckErr != nil {
-		t.Fatalf("validation failed under adaptive DVFS: %v", res.CheckErr)
+	for _, topo := range [][]CoreClass{nil, {{Count: 1, Speed: 4, Power: 3}, {Count: 2, Speed: 2.5, Power: 1.8}, {Count: 4}}} {
+		spec := DefaultSpec("radix-2", Sys4B4L, wsrt.BasePSM)
+		spec.Scale = 0.5
+		spec.AdaptiveDVFS = true
+		spec.Topology = topo
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Verify(); err != nil {
+			t.Fatalf("topology %q: validation failed under adaptive DVFS: %v", FormatTopology(topo), err)
+		}
 	}
 }
 

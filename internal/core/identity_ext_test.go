@@ -85,9 +85,9 @@ func TestElasticOffIdentityFingerprint(t *testing.T) {
 }
 
 // TestTwoClassTopologyByteIdentity: a 2-entry Topology that resolves to
-// exactly the kernel's big.LITTLE pair takes the legacy path wholesale, so
-// its canonical outcome bytes (spec hash aside — the specs legitimately
-// differ) must equal the legacy spec's byte for byte.
+// exactly the kernel's big.LITTLE pair resolves to the same class list as
+// the System spec, so its canonical outcome bytes (spec hash aside — the
+// specs legitimately differ) must equal the System spec's byte for byte.
 func TestTwoClassTopologyByteIdentity(t *testing.T) {
 	cases := []struct {
 		sys  core.System
@@ -121,7 +121,7 @@ func TestTwoClassTopologyByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if string(bl) != string(bt) {
-				t.Errorf("%v/%v: explicit 2-class topology diverged from legacy path:\nlegacy: %s\ntopo:   %s",
+				t.Errorf("%v/%v: explicit 2-class topology diverged from the System spec:\nsystem: %s\ntopo:   %s",
 					tc.sys, v, bl, bt)
 			}
 		}

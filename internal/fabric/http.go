@@ -81,10 +81,15 @@ func (s *HTTPServer) rejectDuringPhase(w http.ResponseWriter) bool {
 // ServeHTTP implements http.Handler.
 func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// writeJSON encodes v without HTML escaping, so an inline canonical report
+// keeps its exact bytes (region labels such as "BI<LA" would otherwise come
+// back as "BI\u003cLA").
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -157,6 +157,56 @@ func TestHTTPSubmitAndPoll(t *testing.T) {
 	}
 }
 
+// TestInlineReportIsCanonical: the report embedded in GET /v1/jobs/{id} must
+// be byte-identical to GET /v1/jobs/{id}/report, including region labels
+// that contain HTML-sensitive characters ("BI<LA").
+func TestInlineReportIsCanonical(t *testing.T) {
+	_, fabricAddr, base := startHTTP(t, fabric.CoordConfig{HedgeDelay: -1})
+	startWorker(t, fabricAddr, "w", jobs.Config{Workers: 1})
+
+	resp, err := http.Post(base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kernel":"cilksort","variant":"base+psm","seed":9,"scale":0.2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	resp, err = http.Get(base + "/v1/jobs/" + sub.ID + "?wait_ms=10000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		State  string          `json:"state"`
+		Report json.RawMessage `json:"report"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.State != "done" {
+		t.Fatalf("task state %q", st.State)
+	}
+
+	resp, err = http.Get(base + "/v1/jobs/" + sub.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(report, []byte("BI<LA")) {
+		t.Fatalf("report lacks the BI<LA region label the check relies on: %s", report)
+	}
+	if !bytes.Equal(st.Report, report) {
+		t.Errorf("inline report differs from /report:\ninline: %s\nreport: %s", st.Report, report)
+	}
+}
+
 // TestRemoteCacheSingleflight: concurrent lookups of the same content
 // address must coalesce into one upstream GET.
 func TestRemoteCacheSingleflight(t *testing.T) {

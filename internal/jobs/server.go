@@ -622,13 +622,14 @@ func (s *Server) getTraceSVG(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nBig, nLit := snap.Spec.System.Counts()
-	if snap.Spec.NBig > 0 {
-		nBig, nLit = snap.Spec.NBig, snap.Spec.NLit
+	names, err := core.CoreNames(snap.Spec)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
 	}
 	marks := schedMarks(s.ex, snap.ID)
 	w.Header().Set("Content-Type", "image/svg+xml")
-	if err := rec.WriteSVGWithMarks(w, trace.CoreNames(nBig, nLit), 1600, marks); err != nil {
+	if err := rec.WriteSVGWithMarks(w, names, 1600, marks); err != nil {
 		// Headers are gone; all we can do is stop streaming.
 		return
 	}
@@ -665,12 +666,13 @@ func (s *Server) getTraceCSV(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nBig, nLit := snap.Spec.System.Counts()
-	if snap.Spec.NBig > 0 {
-		nBig, nLit = snap.Spec.NBig, snap.Spec.NLit
+	names, err := core.CoreNames(snap.Spec)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
-	_ = rec.WriteCSV(w, trace.CoreNames(nBig, nLit), 200)
+	_ = rec.WriteCSV(w, names, 200)
 }
 
 // metrics renders the unified registry: the executor's live instruments

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,6 +318,46 @@ func TestServerTraceEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || len(csv) == 0 {
 		t.Fatalf("trace.csv status %d, %d bytes", resp.StatusCode, len(csv))
+	}
+
+	// Core labels come from the resolved class list: a 7-core 3-class job
+	// gets one label per class rank, not the default system's B/L names.
+	code, st = postJSON(t, ts.URL+"/v1/jobs", `{"kernel":"cilksort","scale":0.1,"with_trace":true,"no_cache":true,`+
+		`"topology":[{"Count":1,"Speed":4,"Power":3},{"Count":2,"Speed":2.5,"Power":1.8},{"Count":4}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("3-class submit status = %d (%v)", code, st)
+	}
+	id3 := st["id"].(string)
+	if st := awaitJob(t, ts.URL, id3); st["state"] != "done" {
+		t.Fatalf("3-class traced job: %v", st)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + id3 + "/trace.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("3-class trace.csv status %d", resp.StatusCode)
+	}
+	wantNames := []string{"C0.0", "C1.0", "C1.1", "C2.0", "C2.1", "C2.2", "C2.3"}
+	rows := map[string]int{}
+	lines := strings.Split(strings.TrimSpace(string(csv)), "\n")
+	for _, line := range lines[1:] {
+		f := strings.Split(line, ",")
+		if len(f) != 6 {
+			t.Fatalf("malformed trace.csv row %q", line)
+		}
+		coreID, _ := strconv.Atoi(f[0])
+		if coreID < 0 || coreID >= len(wantNames) || f[1] != wantNames[coreID] {
+			t.Fatalf("trace.csv row %q: core %s labelled %q, want labels %v", line, f[0], f[1], wantNames)
+		}
+		rows[f[1]]++
+	}
+	for _, name := range wantNames {
+		if rows[name] != 200 {
+			t.Errorf("trace.csv has %d rows for %s, want 200 samples", rows[name], name)
+		}
 	}
 
 	// An untraced (cached) submission has no recorder to serve.
