@@ -3,6 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 
 	"aaws/internal/model"
 )
@@ -10,7 +14,8 @@ import (
 // This file implements the batch execution path: RunBatch partitions a
 // sweep shard by machine/LUT/model signature and runs each partition on a
 // single pinned engine with the lookup table resolved once, instead of
-// paying an engine-cache round-trip and a LUT lookup for every cell.
+// paying an engine-cache round-trip and a LUT lookup for every cell, and
+// runs different kernels' partitions side by side across GOMAXPROCS.
 // Results are bit-identical to per-cell Run calls — runCell resets the
 // engine and tracker to the same initial state either way — so the batch
 // path is a pure amortization, gated by the determinism fingerprint tests.
@@ -24,10 +29,11 @@ import (
 //
 // The kernel name is part of the signature because the power parameters
 // (alpha/beta) and the memory-stall rate (MPKI) derive from the kernel's
-// Table III row. The LUT mode is derived from the variant — base and psm
-// variants use different tables — so variants appear in the key only
-// through that projection, and the common sweep shape (one kernel, five
-// variants) collapses to at most two partitions per kernel.
+// Table III row. The LUT mode is derived from the variant — nominal,
+// pacing, and pacing with sprinting use different tables — so variants
+// appear in the key only through that projection, and the common sweep
+// shape (one kernel, five variants) collapses to three partitions per
+// kernel.
 type partitionKey struct {
 	kernel string
 	// topo is the resolved topology signature: the class counts and the
@@ -64,10 +70,19 @@ func RunBatch(specs []Spec) ([]Result, error) {
 }
 
 // RunBatchCtx is RunBatch under a context. Cells run sequentially within
-// a partition (they share one engine) and partitions run sequentially in
-// first-appearance order; concurrency across batches is the caller's job
-// (the jobs executor runs batches on its worker pool). Cancellation aborts
-// the current cell and returns its error.
+// a partition (they share one engine). Partitions are grouped by kernel,
+// in first-appearance order, and the groups run on min(GOMAXPROCS, groups)
+// goroutines that each claim the next unclaimed group; a batch with one
+// group runs inline on the caller's goroutine. The unit of fan-out is the
+// kernel group, not the partition, so at most one copy of a kernel's input
+// is alive at a time. Results land at their input index either way, and
+// every cell is bit-identical to its serial run.
+//
+// The first failing cell stops further claims; groups already claimed run
+// to completion, and the error returned is that of the lowest-index failing
+// group. Groups are claimed in order, so that is exactly the error the
+// one-worker run returns, whatever GOMAXPROCS is. Cancellation aborts every
+// worker's current cell and returns an error wrapping ctx.Err().
 func RunBatchCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 	// Validate everything up front: a batch either starts fully formed or
 	// not at all, so a typo in cell 93 cannot waste 92 simulations.
@@ -81,18 +96,69 @@ func RunBatchCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 	}
 
 	// Partition by signature, preserving first-appearance order of
-	// partitions and input order of cells within each.
+	// partitions and input order of cells within each, then group the
+	// partitions by kernel in first-appearance order.
 	order := make(map[partitionKey][]int)
-	var keys []partitionKey
+	groupOf := make(map[string]int)
+	var groups [][]partitionKey
 	for i := range specs {
 		k := partitionKeyOf(specs[i])
 		if _, seen := order[k]; !seen {
-			keys = append(keys, k)
+			g, ok := groupOf[k.kernel]
+			if !ok {
+				g = len(groups)
+				groupOf[k.kernel] = g
+				groups = append(groups, nil)
+			}
+			groups[g] = append(groups[g], k)
 		}
 		order[k] = append(order[k], i)
 	}
 
 	results := make([]Result, len(specs))
+	errs := make([]error, len(groups))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+	)
+	work := func() {
+		for !failed.Load() {
+			g := int(next.Add(1) - 1)
+			if g >= len(groups) {
+				return
+			}
+			if errs[g] = runGroup(ctx, specs, order, groups[g], results); errs[g] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(groups)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// runGroup runs one kernel group's partitions in order, writing each cell's
+// result at its input index. A panic that escapes a cell is returned as the
+// group's error, so a worker goroutine never takes the process down.
+func runGroup(ctx context.Context, specs []Spec, order map[partitionKey][]int, keys []partitionKey, results []Result) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: batch group %s panicked: %v\n%s", keys[0].kernel, r, debug.Stack())
+		}
+	}()
 	for _, k := range keys {
 		cells := order[k]
 		// Pin one environment for the whole partition: LUT resolved once,
@@ -105,12 +171,12 @@ func RunBatchCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 					engines.put(env.eng)
 				}
 				s := specs[i]
-				return nil, fmt.Errorf("core: batch cell %d (%s/%s/%s): %w",
+				return fmt.Errorf("core: batch cell %d (%s/%s/%s): %w",
 					i, s.Kernel, s.System, s.Variant, err)
 			}
 			results[i] = res
 		}
 		engines.put(env.eng)
 	}
-	return results, nil
+	return nil
 }

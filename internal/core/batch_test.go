@@ -1,7 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +19,7 @@ import (
 
 // defaultMatrix builds the full default sweep matrix (every kernel × every
 // variant) for one system at a small scale, the shape RunBatch is tuned
-// for: each kernel contributes at most two partitions (base vs psm LUT).
+// for: each kernel contributes three partitions (one per LUT mode).
 func defaultMatrix(sys System, scale float64) []Spec {
 	var specs []Spec
 	for _, kn := range kernels.Names() {
@@ -32,7 +37,10 @@ func defaultMatrix(sys System, scale float64) []Spec {
 // The batch path shares one engine and one resolved LUT per partition, so
 // agreement proves that nothing spec-invariant that runCell re-applies per
 // cell (engine state, tracker state, machine wiring) leaks between cells.
+// It runs at GOMAXPROCS 4, so kernel groups also run side by side and
+// agreement proves nothing leaks between concurrent groups either.
 func TestBatchMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	systems := []System{Sys4B4L, Sys1B7L}
 	if testing.Short() {
 		systems = systems[:1]
@@ -70,8 +78,10 @@ func TestBatchMatchesSerial(t *testing.T) {
 // TestBatchOrderIndependence is the input-order property: shuffling the
 // specs must shuffle nothing but the partition groupings — every result
 // comes back at its spec's input position, identical to the serial run of
-// that spec. Several shuffles exercise different partition interleavings.
+// that spec. Several shuffles exercise different partition interleavings;
+// at GOMAXPROCS 4 they also exercise different group-to-worker claims.
 func TestBatchOrderIndependence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	specs := defaultMatrix(Sys4B4L, 0.05)
 	if testing.Short() {
 		specs = specs[:4*len(wsrt.Variants)]
@@ -112,6 +122,95 @@ func TestBatchValidatesUpFront(t *testing.T) {
 	}
 	if _, err := RunBatch(specs); err == nil {
 		t.Fatal("RunBatch accepted a batch with an unknown kernel")
+	}
+}
+
+// TestBatchErrorIndependentOfGOMAXPROCS: with failing cells in two kernel
+// groups, the batch returns the error of the lower-index group, byte for
+// byte the same whether the groups run on one worker or four. The lower
+// group runs larger cells and fails on the last cell it runs; the higher
+// group fails on its first. So with four workers the higher group's error
+// is usually the first to happen.
+func TestBatchErrorIndependentOfGOMAXPROCS(t *testing.T) {
+	nv := len(wsrt.Variants)
+	specs := defaultMatrix(Sys4B4L, 0.05)[:4*nv]
+	for i := 2 * nv; i < 3*nv; i++ {
+		specs[i].Scale = 0.5
+	}
+	bad := []int{2*nv + 3, 3 * nv} // base+psm runs last in its group
+	for _, i := range bad {
+		specs[i].MaxEvents = 10 // trips the event budget at once
+	}
+	runAt := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, err := RunBatch(specs)
+		if err == nil {
+			t.Fatalf("GOMAXPROCS %d: batch with exhausted event budgets succeeded", procs)
+		}
+		return err.Error()
+	}
+	one, four := runAt(1), runAt(4)
+	if one != four {
+		t.Errorf("batch error depends on GOMAXPROCS:\n 1: %s\n 4: %s", one, four)
+	}
+	if want := fmt.Sprintf("core: batch cell %d (", bad[0]); !strings.HasPrefix(one, want) {
+		t.Errorf("batch error %q does not name the first failing cell %d", one, bad[0])
+	}
+}
+
+// TestBatchCancelReturnsPromptly: cancelling the caller's context aborts
+// every worker and the batch returns an error wrapping context.Canceled
+// long before the batch could have finished.
+func TestBatchCancelReturnsPromptly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := RunBatchCtx(ctx, defaultMatrix(Sys4B4L, 1))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("cancelled batch took %s to return", d)
+	}
+}
+
+// TestBatchLUTSolvesOnce: a cold default 4B4L batch solves each distinct
+// table exactly once, also when kernels that share (alpha, beta) run at the
+// same time.
+func TestBatchLUTSolvesOnce(t *testing.T) {
+	specs := defaultMatrix(Sys4B4L, 0.05)
+	for _, procs := range []int{1, 4} {
+		restore := drainLUTCache(lutCacheMax)
+		prev := runtime.GOMAXPROCS(procs)
+		before := lutSolves.Load()
+		_, err := RunBatch(specs)
+		solved := lutSolves.Load() - before
+		runtime.GOMAXPROCS(prev)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solved != 54 {
+			t.Errorf("GOMAXPROCS %d: cold default batch solved %d tables, want 54", procs, solved)
+		}
+	}
+}
+
+// drainLUTCache empties the LUT cache and sets its capacity, returning a
+// func that restores the previous contents, so other tests keep their warm
+// tables.
+func drainLUTCache(max int) (restore func()) {
+	lutCache.Lock()
+	savedM, savedHead, savedTail, savedMax := lutCache.m, lutCache.head, lutCache.tail, lutCache.max
+	lutCache.m = map[lutKey]*lutNode{}
+	lutCache.head, lutCache.tail = nil, nil
+	lutCache.max = max
+	lutCache.Unlock()
+	return func() {
+		lutCache.Lock()
+		lutCache.m, lutCache.head, lutCache.tail, lutCache.max = savedM, savedHead, savedTail, savedMax
+		lutCache.Unlock()
 	}
 }
 
@@ -202,17 +301,7 @@ func TestEngineCacheDecay(t *testing.T) {
 // insert, so a pre-populated cache would mask the bound) and restored
 // afterwards so other tests keep their warm tables.
 func TestLUTCacheLRU(t *testing.T) {
-	lutCache.Lock()
-	savedM, savedHead, savedTail, savedMax := lutCache.m, lutCache.head, lutCache.tail, lutCache.max
-	lutCache.m = map[lutKey]*lutNode{}
-	lutCache.head, lutCache.tail = nil, nil
-	lutCache.max = 2
-	lutCache.Unlock()
-	defer func() {
-		lutCache.Lock()
-		lutCache.m, lutCache.head, lutCache.tail, lutCache.max = savedM, savedHead, savedTail, savedMax
-		lutCache.Unlock()
-	}()
+	defer drainLUTCache(2)()
 
 	// Distinct core mixes give distinct keys; the params stay fixed.
 	p := power.DefaultParams()

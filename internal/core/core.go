@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"aaws/internal/dvfs"
 	"aaws/internal/fault"
@@ -271,14 +272,31 @@ type lutNode struct {
 // space without bound; once full, the least recently used table is
 // evicted, so a long-running server with diverse specs keeps serving its
 // working set from cache instead of degrading to uncached generation.
+//
+// Misses are single-flight: the first caller for a key solves the table
+// and concurrent callers for the same key wait for it (pending), so a
+// batch fanned out across kernels that share (alpha, beta) solves each
+// table once.
 var lutCache = struct {
 	sync.Mutex
 	m          map[lutKey]*lutNode
+	pending    map[lutKey]*lutSolve
 	head, tail *lutNode
 	max        int
-}{m: map[lutKey]*lutNode{}, max: lutCacheMax}
+}{m: map[lutKey]*lutNode{}, pending: map[lutKey]*lutSolve{}, max: lutCacheMax}
 
 const lutCacheMax = 256
+
+// lutSolve is one in-progress table generation; done is closed once lut is
+// set (lut stays nil if the generation panicked).
+type lutSolve struct {
+	done chan struct{}
+	lut  *model.LUT
+}
+
+// lutSolves counts table generations, so tests can pin how many distinct
+// tables a batch solves.
+var lutSolves atomic.Int64
 
 // moveToFront makes n the head of the LRU list. Caller holds the lock.
 func lutMoveToFront(n *lutNode) {
@@ -316,34 +334,48 @@ func cachedLUT(t topology, mode model.Mode) *model.LUT {
 		c.Unlock()
 		return n.lut
 	}
-	c.Unlock()
-	// Generate outside the lock: generation takes milliseconds and must not
-	// serialize unrelated cache hits. Two goroutines racing on the same key
-	// may both generate; the table is deterministic, so either copy is
-	// interchangeable and the loser's work is merely wasted.
-	lut := t.generateLUT(mode)
-	c.Lock()
-	if n, ok := c.m[key]; ok {
-		lutMoveToFront(n)
+	if s, ok := c.pending[key]; ok {
 		c.Unlock()
-		return n.lut
-	}
-	n := &lutNode{key: key, lut: lut}
-	c.m[key] = n
-	lutMoveToFront(n)
-	if len(c.m) > c.max {
-		// Evict the least recently used entry.
-		victim := c.tail
-		c.tail = victim.prev
-		if c.tail != nil {
-			c.tail.next = nil
-		} else {
-			c.head = nil
+		<-s.done
+		if s.lut == nil {
+			// The solver panicked; solve again here so the panic
+			// surfaces on this caller too.
+			return cachedLUT(t, mode)
 		}
-		delete(c.m, victim.key)
+		return s.lut
 	}
+	s := &lutSolve{done: make(chan struct{})}
+	c.pending[key] = s
 	c.Unlock()
-	return lut
+	// Publish on the way out, whether or not generation panicked, so
+	// waiters never block on an abandoned solve.
+	defer func() {
+		c.Lock()
+		delete(c.pending, key)
+		if s.lut != nil {
+			n := &lutNode{key: key, lut: s.lut}
+			c.m[key] = n
+			lutMoveToFront(n)
+			if len(c.m) > c.max {
+				// Evict the least recently used entry.
+				victim := c.tail
+				c.tail = victim.prev
+				if c.tail != nil {
+					c.tail.next = nil
+				} else {
+					c.head = nil
+				}
+				delete(c.m, victim.key)
+			}
+		}
+		c.Unlock()
+		close(s.done)
+	}()
+	// Generate outside the lock: generation takes milliseconds and must not
+	// serialize unrelated cache hits or solves of other keys.
+	s.lut = t.generateLUT(mode)
+	lutSolves.Add(1)
+	return s.lut
 }
 
 // Run executes one simulation per spec and returns the result. A zero

@@ -8,6 +8,7 @@ package input
 
 import (
 	"math"
+	"strings"
 
 	"aaws/internal/sim"
 )
@@ -64,11 +65,15 @@ var trigramNext = map[byte][]byte{
 
 // TrigramWords returns n words drawn from the bigram model with geometric
 // lengths (PBBS trigramSeq_<n>). Duplicates are frequent by construction.
+// The words are written into one buffer and sliced out of it, so the whole
+// sequence costs a few allocations instead of one per word.
 func TrigramWords(seed uint64, n int) []string {
 	rng := sim.NewRand(seed)
-	out := make([]string, n)
+	lens := make([]uint8, n)
+	var sb strings.Builder
+	sb.Grow(5 * n) // the mean word length is about 4.2
 	var buf [16]byte
-	for i := range out {
+	for i := range lens {
 		ln := 3
 		for ln < 10 && rng.Float64() < 0.55 {
 			ln++
@@ -83,7 +88,13 @@ func TrigramWords(seed uint64, n int) []string {
 			c = next[rng.Intn(len(next))]
 			buf[j] = c
 		}
-		out[i] = string(buf[:ln])
+		sb.Write(buf[:ln])
+		lens[i] = uint8(ln)
+	}
+	all := sb.String()
+	out := make([]string, n)
+	for i, ln := range lens {
+		out[i], all = all[:ln], all[ln:]
 	}
 	return out
 }
@@ -141,9 +152,16 @@ func (g *Graph) NumEdges() int { return len(g.Edges) }
 // degree ~2*degree where each vertex's neighbors are biased to nearby
 // vertex ids (PBBS randLocalGraph_J_<degree>_<n>). Locality produces the
 // frontier growth patterns BFS and MIS depend on.
+//
+// Each generated pair (i, j) adds j to i's list and then i to j's. The CSR
+// arrays are laid out directly: the pairs are drawn first, then placed
+// through per-vertex cursors in generation order, which gives every list
+// the order that appending would.
 func RandLocalGraph(seed uint64, degree, n int) *Graph {
 	rng := sim.NewRand(seed)
-	adj := make([][]int32, n)
+	// to[i*degree+d] is vertex i's d-th drawn neighbour.
+	to := make([]int32, n*degree)
+	g := &Graph{N: n, Offsets: make([]int32, n+1), Edges: make([]int32, 2*n*degree)}
 	logN := math.Log(float64(n))
 	for i := 0; i < n; i++ {
 		for d := 0; d < degree; d++ {
@@ -161,19 +179,22 @@ func RandLocalGraph(seed uint64, degree, n int) *Graph {
 			if j == i {
 				j = (i + 1) % n
 			}
-			adj[i] = append(adj[i], int32(j))
-			adj[j] = append(adj[j], int32(i))
+			to[i*degree+d] = int32(j)
+			g.Offsets[i+1]++
+			g.Offsets[j+1]++
 		}
 	}
-	g := &Graph{N: n, Offsets: make([]int32, n+1)}
-	total := 0
-	for i, a := range adj {
-		total += len(a)
-		g.Offsets[i+1] = int32(total)
+	for v := 1; v <= n; v++ {
+		g.Offsets[v] += g.Offsets[v-1]
 	}
-	g.Edges = make([]int32, 0, total)
-	for _, a := range adj {
-		g.Edges = append(g.Edges, a...)
+	next := append([]int32(nil), g.Offsets[:n]...) // each vertex's fill cursor
+	for i := 0; i < n; i++ {
+		for _, j := range to[i*degree : (i+1)*degree] {
+			g.Edges[next[i]] = j
+			next[i]++
+			g.Edges[next[j]] = int32(i)
+			next[j]++
+		}
 	}
 	return g
 }

@@ -341,6 +341,33 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// TestCancelDuringFailingAttempt cancels a job whose running attempt then
+// fails for a reason of its own: the cancel must still resolve the job as
+// canceled, not failed.
+func TestCancelDuringFailingAttempt(t *testing.T) {
+	running := make(chan struct{})
+	ex := jobs.NewExecutor(jobs.Config{
+		Workers: 1,
+		Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
+			close(running)
+			<-ctx.Done()
+			return core.Result{}, errors.New("attempt failed on its own")
+		},
+	})
+	defer ex.Close()
+	job, err := ex.Submit(testSpec(1), jobs.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if _, err := ex.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitDone(t, ex, job.ID); snap.State != jobs.StateCanceled {
+		t.Fatalf("state %s (err %v), want canceled", snap.State, snap.Err)
+	}
+}
+
 // TestRetryBackoffHonorsCancellation cancels a job while it waits out a
 // retry backoff: the wait must abort promptly instead of sleeping it out.
 func TestRetryBackoffHonorsCancellation(t *testing.T) {
