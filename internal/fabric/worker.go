@@ -237,7 +237,7 @@ func (w *Worker) dispatchLoop(ctx context.Context, fc *frameConn, dispatches <-c
 	}
 }
 
-// executeBatch submits a micro-batch of shards as one executor gang and
+// executeBatch submits a micro-batch of shards as one executor batch and
 // spawns a reporter per shard; Executor.Wait blocks until a shard
 // finishes, so reporting rides its own goroutine and the dispatch loop
 // keeps draining.

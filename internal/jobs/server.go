@@ -439,10 +439,10 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 		Timeout:  time.Duration(req.TimeoutMs) * time.Millisecond,
 		NoCache:  req.NoCache,
 	}
-	// The matrix goes down as one gang: fresh cells run together through
-	// the partitioned batch path on a single worker (and a single
-	// sweep-class slot), while cache hits and duplicates still resolve per
-	// cell.
+	// The matrix goes down as one gang per kernel: each kernel's fresh
+	// cells run together through the partitioned batch path on one worker
+	// (and one sweep-class slot, so the slot bound caps the CPUs a sweep
+	// takes), while cache hits and duplicates still resolve per cell.
 	batch, err := s.ex.SubmitBatch(specs, opts)
 	if err != nil {
 		s.submitError(w, err)
