@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"aaws/internal/kernels"
 	"aaws/internal/model"
 )
 
@@ -150,33 +152,98 @@ func RunBatchCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 	return results, nil
 }
 
-// runGroup runs one kernel group's partitions in order, writing each cell's
-// result at its input index. A panic that escapes a cell is returned as the
-// group's error, so a worker goroutine never takes the process down.
+// inputKey identifies a kernel input within a kernel group.
+type inputKey struct {
+	seed  uint64
+	scale float64
+}
+
+// runGroup runs one kernel group's cells, writing each cell's result at its
+// input index. It walks the cells seed-major: for each (seed, scale) in
+// order of first appearance, every partition in order, and each
+// partition's cells of that (seed, scale) in input order. So every cell of
+// one (seed, scale) runs on the one Input prepared for it, at most one
+// Input of the group is alive at a time, and each partition's environment
+// (LUT and tracker) is pinned for the life of the group. A panic that
+// escapes a cell is returned as the group's error, so a worker goroutine
+// never takes the process down.
 func runGroup(ctx context.Context, specs []Spec, order map[partitionKey][]int, keys []partitionKey, results []Result) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: batch group %s panicked: %v\n%s", keys[0].kernel, r, debug.Stack())
 		}
 	}()
+	type step struct{ input, part, cell int }
+	n := 0
 	for _, k := range keys {
-		cells := order[k]
-		// Pin one environment for the whole partition: LUT resolved once,
-		// one warm engine, one tracker reset per cell.
-		env := newCellEnv(specs[cells[0]])
-		for _, i := range cells {
-			res, reuse, err := runCell(ctx, specs[i], &env)
-			if err != nil {
-				if reuse {
-					engines.put(env.eng)
-				}
-				s := specs[i]
-				return fmt.Errorf("core: batch cell %d (%s/%s/%s): %w",
-					i, s.Kernel, s.System, s.Variant, err)
-			}
-			results[i] = res
-		}
-		engines.put(env.eng)
+		n += len(order[k])
 	}
+	// Small groups (one kernel's variants at a seed or two) walk and pin
+	// from stack buffers, so the batch path adds no allocation per group
+	// over the serial path.
+	var walkBuf [32]step
+	walk := walkBuf[:0]
+	if n > len(walkBuf) {
+		walk = make([]step, 0, n)
+	}
+	// A group almost always has one (seed, scale), rarely more than a few,
+	// so a linear search numbers them without a map.
+	var firstBuf [4]inputKey
+	firsts := firstBuf[:0]
+	for p, k := range keys {
+		for _, i := range order[k] {
+			ik := inputKey{specs[i].Seed, specs[i].Scale}
+			x := slices.Index(firsts, ik)
+			if x < 0 {
+				x = len(firsts)
+				firsts = append(firsts, ik)
+			}
+			walk = append(walk, step{x, p, i})
+		}
+	}
+	// Cells were listed partition by partition in input order, so a stable
+	// sort by input number keeps that order within each input.
+	slices.SortStableFunc(walk, func(a, b step) int { return a.input - b.input })
+
+	var envBuf [8]cellEnv
+	envs := envBuf[:0]
+	if len(keys) > len(envBuf) {
+		envs = make([]cellEnv, 0, len(keys))
+	}
+	envs = envs[:len(keys)]
+	// The group holds one engine, handed from partition to partition
+	// through the warm cache: a grown engine arena is the largest
+	// per-partition state, and pinning one per partition raised a cold
+	// sweep's peak RSS by about two-thirds.
+	var cur *cellEnv
+	var in kernels.Input
+	for j, st := range walk {
+		s, env := specs[st.cell], &envs[st.part]
+		if env != cur {
+			if cur != nil {
+				engines.put(cur.eng)
+				cur.eng = nil
+			}
+			if env.k == nil {
+				*env = newCellEnv(s)
+			} else {
+				env.eng = engines.get()
+			}
+			cur = env
+		}
+		if j == 0 || st.input != walk[j-1].input {
+			in = prepareInput(env.k, s.Seed, s.Scale)
+		}
+		res, reuse, err := runCell(ctx, s, env, in)
+		if err != nil {
+			if reuse {
+				engines.put(env.eng)
+			}
+			return fmt.Errorf("core: batch cell %d (%s/%s/%s): %w",
+				st.cell, s.Kernel, s.System, s.Variant, err)
+		}
+		results[st.cell] = res
+	}
+	engines.put(cur.eng)
 	return nil
 }

@@ -32,13 +32,61 @@ func defaultMatrix(sys System, scale float64) []Spec {
 	return specs
 }
 
-// TestBatchMatchesSerial is the batch-path gate: RunBatch over the full
-// default matrix must be bit-identical, cell for cell, to per-cell Run.
-// The batch path shares one engine and one resolved LUT per partition, so
-// agreement proves that nothing spec-invariant that runCell re-applies per
-// cell (engine state, tracker state, machine wiring) leaks between cells.
-// It runs at GOMAXPROCS 4, so kernel groups also run side by side and
-// agreement proves nothing leaks between concurrent groups either.
+// registryMatrix is the shared-input identity matrix on one system: every
+// registered kernel, extensions included, × every variant × elastic off
+// and on × two seeds, checked, at a small scale. A batch runs all ten
+// cells of a (kernel, seed) on one shared Input, so a Run that wrote into
+// its Input would make a later cell diverge from its per-cell run or fail
+// its check.
+func registryMatrix(sys System) []Spec {
+	var specs []Spec
+	for _, k := range kernels.AllWithExtensions() {
+		for _, seed := range []uint64{42, 7} {
+			for _, elastic := range []bool{false, true} {
+				for _, v := range wsrt.Variants {
+					specs = append(specs, Spec{
+						Kernel: k.Name, System: sys, Variant: v, Seed: seed, Scale: 0.05,
+						Elastic: elastic, Check: true,
+					})
+				}
+			}
+		}
+	}
+	return specs
+}
+
+// cellName labels a registry-matrix cell in failure messages.
+func cellName(s Spec) string {
+	return fmt.Sprintf("%s/%s/%s/seed=%d/elastic=%v", s.Kernel, s.System, s.Variant, s.Seed, s.Elastic)
+}
+
+// runSerial runs every spec on its own and fails the test on an error or a
+// failed check.
+func runSerial(t *testing.T, specs []Spec) []uint64 {
+	t.Helper()
+	out := make([]uint64, len(specs))
+	for i, spec := range specs {
+		res, err := Run(spec)
+		if err == nil {
+			err = res.CheckErr
+		}
+		if err != nil {
+			t.Fatalf("%s: serial: %v", cellName(spec), err)
+		}
+		out[i] = fingerprintResult(res)
+	}
+	return out
+}
+
+// TestBatchMatchesSerial is the batch-path gate: RunBatch over the
+// registry matrix must be bit-identical, cell for cell, to per-cell Run,
+// with every check passing. The batch path shares one engine and one
+// resolved LUT per partition and one input per (kernel, seed, scale), so
+// agreement proves that nothing runCell re-applies per cell (engine
+// state, tracker state, machine wiring) and nothing a workload writes
+// leaks between cells. It runs at GOMAXPROCS 4, so kernel groups also run
+// side by side and agreement proves nothing leaks between concurrent
+// groups either.
 func TestBatchMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	systems := []System{Sys4B4L, Sys1B7L}
@@ -46,18 +94,11 @@ func TestBatchMatchesSerial(t *testing.T) {
 		systems = systems[:1]
 	}
 	for _, sys := range systems {
-		specs := defaultMatrix(sys, 0.05)
+		specs := registryMatrix(sys)
 		if testing.Short() {
-			specs = specs[:2*len(wsrt.Variants)]
+			specs = specs[:8*len(wsrt.Variants)]
 		}
-		serial := make([]uint64, len(specs))
-		for i, spec := range specs {
-			res, err := Run(spec)
-			if err != nil {
-				t.Fatalf("%s/%s/%s: serial: %v", spec.Kernel, spec.System, spec.Variant, err)
-			}
-			serial[i] = fingerprintResult(res)
-		}
+		serial := runSerial(t, specs)
 		results, err := RunBatch(specs)
 		if err != nil {
 			t.Fatalf("%s: RunBatch: %v", sys, err)
@@ -66,33 +107,32 @@ func TestBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: RunBatch returned %d results for %d specs", sys, len(results), len(specs))
 		}
 		for i, res := range results {
+			if res.CheckErr != nil {
+				t.Errorf("%s: batch check: %v", cellName(specs[i]), res.CheckErr)
+			}
 			if got := fingerprintResult(res); got != serial[i] {
-				spec := specs[i]
-				t.Errorf("%s/%s/%s: batch diverged from serial: %x != %x",
-					spec.Kernel, spec.System, spec.Variant, got, serial[i])
+				t.Errorf("%s: batch diverged from serial: %x != %x", cellName(specs[i]), got, serial[i])
 			}
 		}
 	}
 }
 
 // TestBatchOrderIndependence is the input-order property: shuffling the
-// specs must shuffle nothing but the partition groupings — every result
-// comes back at its spec's input position, identical to the serial run of
-// that spec. Several shuffles exercise different partition interleavings;
-// at GOMAXPROCS 4 they also exercise different group-to-worker claims.
+// specs must shuffle nothing but the partition groupings and the order in
+// which a group meets its seeds — every result comes back at its spec's
+// input position, identical to the serial run of that spec. Several
+// shuffles exercise different partition and input interleavings; at
+// GOMAXPROCS 4 they also exercise different group-to-worker claims.
 func TestBatchOrderIndependence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	specs := defaultMatrix(Sys4B4L, 0.05)
+	specs := registryMatrix(Sys4B4L)
 	if testing.Short() {
-		specs = specs[:4*len(wsrt.Variants)]
+		specs = specs[:8*len(wsrt.Variants)]
 	}
+	serial := runSerial(t, specs)
 	want := make(map[string]uint64, len(specs))
-	for _, spec := range specs {
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%s/%s: serial: %v", spec.Kernel, spec.Variant, err)
-		}
-		want[specKey(spec)] = fingerprintResult(res)
+	for i, spec := range specs {
+		want[specKey(spec)] = serial[i]
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3; trial++ {
@@ -105,9 +145,12 @@ func TestBatchOrderIndependence(t *testing.T) {
 			t.Fatalf("trial %d: RunBatch: %v", trial, err)
 		}
 		for i, res := range results {
+			if res.CheckErr != nil {
+				t.Errorf("trial %d: %s: batch check: %v", trial, cellName(shuffled[i]), res.CheckErr)
+			}
 			if got := fingerprintResult(res); got != want[specKey(shuffled[i])] {
-				t.Errorf("trial %d: result %d (%s/%s) not the serial result for its input position",
-					trial, i, shuffled[i].Kernel, shuffled[i].Variant)
+				t.Errorf("trial %d: result %d (%s) not the serial result for its input position",
+					trial, i, cellName(shuffled[i]))
 			}
 		}
 	}
@@ -193,6 +236,61 @@ func TestBatchLUTSolvesOnce(t *testing.T) {
 		}
 		if solved != 54 {
 			t.Errorf("GOMAXPROCS %d: cold default batch solved %d tables, want 54", procs, solved)
+		}
+	}
+}
+
+// TestBatchInputsOnce: a batch prepares one input per distinct (kernel,
+// seed, scale), whatever GOMAXPROCS is. The default 4B4L matrix has 22
+// distinct inputs among its 110 cells, 44 at two seeds; the sweep-ext
+// benchmark matrix (ten kernels × two core mixes × elastic off/on × five
+// variants) has 10 among 200.
+func TestBatchInputsOnce(t *testing.T) {
+	twoSeeds := defaultMatrix(Sys4B4L, 0.05)
+	for _, s := range defaultMatrix(Sys4B4L, 0.05) {
+		s.Seed = 7
+		twoSeeds = append(twoSeeds, s)
+	}
+	topo, err := ParseTopology("1x4/3,2x2.5/1.8,4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ext []Spec
+	for _, k := range []string{
+		"lock-tas", "lock-queue", "lock-qbig", "loop-static", "loop-dynamic", "loop-guided",
+		"cilksort", "heat", "uts", "qsort-2",
+	} {
+		for _, tp := range [][]CoreClass{nil, topo} {
+			for _, elastic := range []bool{false, true} {
+				for _, v := range wsrt.Variants {
+					ext = append(ext, Spec{Kernel: k, Variant: v, Seed: 3, Scale: 0.05, Elastic: elastic, Topology: tp})
+				}
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		specs []Spec
+		want  int64
+	}{
+		{"default 4B4L", defaultMatrix(Sys4B4L, 0.05), 22},
+		{"default 4B4L at two seeds", twoSeeds, 44},
+		{"sweep-ext", ext, 10},
+	}
+	for _, procs := range []int{1, 4} {
+		for _, c := range cases {
+			prev := runtime.GOMAXPROCS(procs)
+			before := inputsPrepared.Load()
+			_, err := RunBatch(c.specs)
+			prepared := inputsPrepared.Load() - before
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prepared != c.want {
+				t.Errorf("GOMAXPROCS %d: %s batch of %d cells prepared %d inputs, want %d",
+					procs, c.name, len(c.specs), prepared, c.want)
+			}
 		}
 	}
 }

@@ -294,9 +294,15 @@ type lutSolve struct {
 	lut  *model.LUT
 }
 
-// lutSolves counts table generations, so tests can pin how many distinct
-// tables a batch solves.
-var lutSolves atomic.Int64
+// lutSolves counts table generations and inputsPrepared kernel inputs
+// generated, so tests can pin how much deterministic work a batch repeats.
+var lutSolves, inputsPrepared atomic.Int64
+
+// prepareInput generates a kernel input, counting it.
+func prepareInput(k *kernels.Kernel, seed uint64, scale float64) kernels.Input {
+	inputsPrepared.Add(1)
+	return k.Prepare(seed, scale)
+}
 
 // moveToFront makes n the head of the LRU list. Caller holds the lock.
 func lutMoveToFront(n *lutNode) {
@@ -437,20 +443,22 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 		return Result{}, err
 	}
 	env := newCellEnv(spec)
-	res, reuse, err := runCell(ctx, spec, &env)
+	res, reuse, err := runCell(ctx, spec, &env, prepareInput(env.k, spec.Seed, spec.Scale))
 	if reuse {
 		engines.put(env.eng)
 	}
 	return res, err
 }
 
-// runCell executes one simulation cell in env. The engine is Reset and the
-// tracker cleared on entry, so a pinned env runs every cell from an
-// identical initial state and batch results are bit-identical to serial
-// ones. reuse reports whether the engine is safe to return to the warm
-// cache: aborted runs leave a drained root-program goroutine that may
-// still briefly reference the engine, so they forfeit it.
-func runCell(ctx context.Context, spec Spec, env *cellEnv) (_ Result, reuse bool, _ error) {
+// runCell executes one simulation cell in env on a fresh workload of in,
+// the cell's (kernel, seed, scale) input. The engine is Reset and the
+// tracker cleared on entry, and the workload owns everything Run writes, so
+// a pinned env and a shared input run every cell from an identical initial
+// state and batch results are bit-identical to serial ones. reuse reports
+// whether the engine is safe to return to the warm cache: aborted runs
+// leave a drained root-program goroutine that may still briefly reference
+// the engine, so they forfeit it.
+func runCell(ctx context.Context, spec Spec, env *cellEnv, in kernels.Input) (_ Result, reuse bool, _ error) {
 	eng, k := env.eng, env.k
 	eng.Reset()
 	env.tracker.Reset()
@@ -530,7 +538,7 @@ func runCell(ctx context.Context, spec Spec, env *cellEnv) (_ Result, reuse bool
 		// the region tracker's back (its clock follows ExecTime).
 		inj.SetAlive(rt.Running)
 	}
-	w := k.New(spec.Seed, spec.Scale)
+	w := in.New()
 	rep, err := executeChecked(rt, w.Run, spec)
 	if err != nil {
 		return Result{}, false, err

@@ -53,15 +53,25 @@ func RandomSeqInt(seed uint64, n int) []int32 {
 
 // trigram tables: a crude letter-bigram model that yields word frequencies
 // with heavy duplication, standing in for PBBS's English trigram model.
+// trigramNext[c] lists the letters that may follow c; a letter with no
+// list of its own restarts from trigramFirst.
 var trigramFirst = []byte("ttttaaaooiiinsshhr")
-var trigramNext = map[byte][]byte{
-	't': []byte("hhhheeoaii"), 'h': []byte("eeeeaaoiu"), 'a': []byte("nnttssrl"),
-	'o': []byte("nnfrrum"), 'i': []byte("nnttssc"), 'n': []byte("dgtteee"),
-	's': []byte("tteeaahi"), 'e': []byte("rrssnnad"), 'r': []byte("eeaaiot"),
-	'd': []byte("eeaaiso"), 'g': []byte("eehhaao"), 'l': []byte("eeaaily"),
-	'u': []byte("rrnnstm"), 'f': []byte("ooeeir"), 'c': []byte("ooeehat"),
-	'm': []byte("eeaaion"), 'y': []byte("ooeeast"),
-}
+var trigramNext = func() (next [256][]byte) {
+	for c := range next {
+		next[c] = trigramFirst
+	}
+	for c, s := range map[byte]string{
+		't': "hhhheeoaii", 'h': "eeeeaaoiu", 'a': "nnttssrl",
+		'o': "nnfrrum", 'i': "nnttssc", 'n': "dgtteee",
+		's': "tteeaahi", 'e': "rrssnnad", 'r': "eeaaiot",
+		'd': "eeaaiso", 'g': "eehhaao", 'l': "eeaaily",
+		'u': "rrnnstm", 'f': "ooeeir", 'c': "ooeehat",
+		'm': "eeaaion", 'y': "ooeeast",
+	} {
+		next[c] = []byte(s)
+	}
+	return next
+}()
 
 // TrigramWords returns n words drawn from the bigram model with geometric
 // lengths (PBBS trigramSeq_<n>). Duplicates are frequent by construction.
@@ -81,10 +91,7 @@ func TrigramWords(seed uint64, n int) []string {
 		c := trigramFirst[rng.Intn(len(trigramFirst))]
 		buf[0] = c
 		for j := 1; j < ln; j++ {
-			next, ok := trigramNext[c]
-			if !ok {
-				next = trigramFirst
-			}
+			next := trigramNext[c]
 			c = next[rng.Intn(len(next))]
 			buf[j] = c
 		}
@@ -119,13 +126,11 @@ func TrigramString(seed uint64, n int) []byte {
 	c := trigramFirst[rng.Intn(len(trigramFirst))]
 	for i := range out {
 		out[i] = c
+		next := trigramNext[c]
 		if rng.Float64() < 0.17 {
-			c = trigramFirst[rng.Intn(len(trigramFirst))]
-		} else if next, ok := trigramNext[c]; ok {
-			c = next[rng.Intn(len(next))]
-		} else {
-			c = trigramFirst[rng.Intn(len(trigramFirst))]
+			next = trigramFirst
 		}
+		c = next[rng.Intn(len(next))]
 	}
 	return out
 }

@@ -59,6 +59,23 @@ func TestGeneratorsByteIdentity(t *testing.T) {
 	}
 }
 
+// TestTrigramStringByteIdentity pins the suffix-array input bit for bit: a
+// SHA-256 over TrigramString for seeds 0-39 and the sizes of
+// TestGeneratorsByteIdentity. The digest was taken from the generator that
+// looked each successor list up in a map.
+func TestTrigramStringByteIdentity(t *testing.T) {
+	const want = "709547821fa616a21875805b65ef696f832e8427d3bf6d2f5462de37fa245238"
+	h := sha256.New()
+	for seed := uint64(0); seed < 40; seed++ {
+		for _, n := range []int{1, 2, 3, 17, 1000, 50000} {
+			h.Write(TrigramString(seed, n))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("TrigramString digest %s, want %s", got, want)
+	}
+}
+
 func TestExptSeqSkew(t *testing.T) {
 	xs := ExptSeqFloat(3, 20000)
 	// Exponential: mean ~ n, median ~ n*ln2; strong right skew.

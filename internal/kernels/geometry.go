@@ -12,9 +12,13 @@ import (
 // ---- hull: quickhull on Kuzmin-distributed points (PBBS) ----
 
 type hull struct {
+	*hullInput
+	hull []int32 // produced hull vertex indices
+}
+
+type hullInput struct {
 	pts  []input.Point2
-	hull []int32       // produced hull vertex indices
-	want lazy[[]int32] // reference hull (sorted indices)
+	want *lazy[[]int32] // reference hull (sorted indices)
 	leaf int
 }
 
@@ -55,11 +59,12 @@ func serialHull(pts []input.Point2) []int32 {
 	return h[:len(h)-1]
 }
 
-func newHull(seed uint64, scale float64) Workload {
-	n := scaled(30000, scale)
-	pts := input.Kuzmin2D(seed, n)
-	return &hull{pts: pts, want: deferred(func() []int32 { return serialHull(pts) }), leaf: 512}
+func prepareHull(seed uint64, scale float64) Input {
+	pts := input.Kuzmin2D(seed, scaled(30000, scale))
+	return &hullInput{pts: pts, want: deferred(func() []int32 { return serialHull(pts) }), leaf: 512}
 }
+
+func (in *hullInput) New() Workload { return &hull{hullInput: in} }
 
 func (k *hull) Run(r *wsrt.Run) {
 	pts := k.pts
@@ -68,8 +73,8 @@ func (k *hull) Run(r *wsrt.Run) {
 	// Parallel scan for the x-extremes (block-local extremes, tiny serial
 	// reduce), as in the PBBS parallel filter/reduce primitives.
 	const blk = 2048
-	loPer := make([]int32, n)
-	hiPer := make([]int32, n)
+	type extremes struct{ lo, hi int32 }
+	var ext []leafResult[extremes]
 	r.ParallelFor(0, n, blk, func(c *wsrt.Ctx, s, e int) {
 		lo, hi := int32(s), int32(s)
 		for i := s + 1; i < e; i++ {
@@ -80,15 +85,12 @@ func (k *hull) Run(r *wsrt.Run) {
 				hi = int32(i)
 			}
 		}
-		loPer[s], hiPer[s] = lo, hi
+		ext = append(ext, leafResult[extremes]{s, extremes{lo, hi}})
 		c.Work(float64(e-s) * costCmp * 2)
 	})
 	lo, hi := int32(0), int32(0)
-	for s := 0; s < n; s += 1 {
-		if loPer[s] == 0 && hiPer[s] == 0 && s != 0 {
-			continue // not a leaf start
-		}
-		l, h := loPer[s], hiPer[s]
+	for _, x := range inOrder(ext) {
+		l, h := x.v.lo, x.v.hi
 		if pts[l].X < pts[lo].X || (pts[l].X == pts[lo].X && pts[l].Y < pts[lo].Y) {
 			lo = l
 		}
@@ -98,8 +100,8 @@ func (k *hull) Run(r *wsrt.Run) {
 	}
 	r.SerialWork(2000 + float64(n/blk+2)*costCmp*2)
 	// Parallel split of the points into the two sides.
-	abovePer := make([][]int32, n)
-	belowPer := make([][]int32, n)
+	type sides struct{ above, below []int32 }
+	var split []leafResult[sides]
 	r.ParallelFor(0, n, blk, func(c *wsrt.Ctx, s, e int) {
 		var ab, be []int32
 		for i := s; i < e; i++ {
@@ -110,13 +112,13 @@ func (k *hull) Run(r *wsrt.Run) {
 				be = append(be, int32(i))
 			}
 		}
-		abovePer[s], belowPer[s] = ab, be
+		split = append(split, leafResult[sides]{s, sides{ab, be}})
 		c.Work(float64(e-s) * costFloat * 2)
 	})
 	var above, below []int32
-	for s := 0; s < n; s++ {
-		above = append(above, abovePer[s]...)
-		below = append(below, belowPer[s]...)
+	for _, x := range inOrder(split) {
+		above = append(above, x.v.above...)
+		below = append(below, x.v.below...)
 	}
 	r.SerialWork(float64(n/blk+2) * 40)
 
@@ -170,8 +172,8 @@ func (k *hull) quickhull(c *wsrt.Ctx, cand []int32, a, b int32, out *[]int32) {
 			}
 		}
 		cc.Work(float64(n/blk+2) * costCmp)
-		leftPer := make([][]int32, n)
-		rightPer := make([][]int32, n)
+		type sides struct{ left, right []int32 }
+		var split []leafResult[sides]
 		cc.ParallelRange(0, n, blk, func(c3 *wsrt.Ctx, s, e int) {
 			var l, rr []int32
 			for i := s; i < e; i++ {
@@ -185,14 +187,14 @@ func (k *hull) quickhull(c *wsrt.Ctx, cand []int32, a, b int32, out *[]int32) {
 					rr = append(rr, p)
 				}
 			}
-			leftPer[s], rightPer[s] = l, rr
+			split = append(split, leafResult[sides]{s, sides{l, rr}})
 			c3.Work(float64(e-s) * costFloat * 4)
 		}, func(c4 *wsrt.Ctx) {
 			// Phase 3: concatenate and recurse on both sides.
 			var left, right []int32
-			for s := 0; s < n; s++ {
-				left = append(left, leftPer[s]...)
-				right = append(right, rightPer[s]...)
+			for _, x := range inOrder(split) {
+				left = append(left, x.v.left...)
+				right = append(right, x.v.right...)
 			}
 			c4.Work(float64(n/blk+2) * 40)
 			*out = append(*out, far)
@@ -258,10 +260,14 @@ type qtNode struct {
 }
 
 type knn struct {
+	*knnInput
+	root *qtNode
+	nn   []int32
+}
+
+type knnInput struct {
 	pts   []input.Point2
-	root  *qtNode
-	nn    []int32
-	want  lazy[[]int32]
+	want  *lazy[[]int32]
 	grain int
 }
 
@@ -339,7 +345,7 @@ func (t *qtNode) nearest(pts []input.Point2, i int32, best int32, bestD float64,
 	return best, bestD
 }
 
-func newKNN(seed uint64, scale float64) Workload {
+func prepareKNN(seed uint64, scale float64) Input {
 	n := scaled(4000, scale)
 	pts := input.Cube2D(seed, n)
 	// Brute-force reference.
@@ -360,8 +366,10 @@ func newKNN(seed uint64, scale float64) Workload {
 		}
 		return out
 	})
-	return &knn{pts: pts, want: want, grain: 32}
+	return &knnInput{pts: pts, want: want, grain: 32}
 }
+
+func (in *knnInput) New() Workload { return &knn{knnInput: in} }
 
 func (k *knn) Run(r *wsrt.Run) {
 	n := len(k.pts)
@@ -452,14 +460,18 @@ func (k *knn) Check() error {
 // ---- nbody: direct-sum force computation on 3D bodies (PBBS CK stand-in) ----
 
 type nbody struct {
+	*nbodyInput
+	force [][3]float64
+}
+
+type nbodyInput struct {
 	pts   []input.Point3
 	mass  []float64
-	force [][3]float64
-	want  lazy[[][3]float64]
+	want  *lazy[[][3]float64]
 	grain int
 }
 
-func newNbody(seed uint64, scale float64) Workload {
+func prepareNbody(seed uint64, scale float64) Input {
 	n := scaled(550, scale)
 	pts := input.Cube3D(seed, n)
 	mass := make([]float64, n)
@@ -468,12 +480,14 @@ func newNbody(seed uint64, scale float64) Workload {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		mass[i] = 0.5 + float64(rng>>40)/float64(1<<24)
 	}
-	k := &nbody{pts: pts, mass: mass, grain: 8}
+	k := &nbodyInput{pts: pts, mass: mass, grain: 8}
 	k.want = deferred(k.computeSerial)
 	return k
 }
 
-func (k *nbody) forceOn(i int) [3]float64 {
+func (in *nbodyInput) New() Workload { return &nbody{nbodyInput: in} }
+
+func (k *nbodyInput) forceOn(i int) [3]float64 {
 	var f [3]float64
 	const eps = 1e-6
 	for j := range k.pts {
@@ -492,7 +506,7 @@ func (k *nbody) forceOn(i int) [3]float64 {
 	return f
 }
 
-func (k *nbody) computeSerial() [][3]float64 {
+func (k *nbodyInput) computeSerial() [][3]float64 {
 	out := make([][3]float64, len(k.pts))
 	for i := range out {
 		out[i] = k.forceOn(i)
@@ -531,14 +545,14 @@ func (k *nbody) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "hull", Suite: "pbbs", Input: "2Dkuzmin_30K", PM: "rss",
-		Alpha: 2.1, Beta: 2.2, MPKI: 6.0, New: newHull,
+		Alpha: 2.1, Beta: 2.2, MPKI: 6.0, Prepare: prepareHull,
 	})
 	register(&Kernel{
 		Name: "knn", Suite: "pbbs", Input: "2DinCube_4K", PM: "p,rss",
-		Alpha: 2.8, Beta: 1.7, MPKI: 0.02, New: newKNN,
+		Alpha: 2.8, Beta: 1.7, MPKI: 0.02, Prepare: prepareKNN,
 	})
 	register(&Kernel{
 		Name: "nbody", Suite: "pbbs", Input: "3DinCube_550", PM: "p,rss",
-		Alpha: 2.9, Beta: 1.6, MPKI: 0.01, New: newNbody,
+		Alpha: 2.9, Beta: 1.6, MPKI: 0.01, Prepare: prepareNbody,
 	})
 }

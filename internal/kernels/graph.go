@@ -37,17 +37,27 @@ func serialBFSLevels(g *input.Graph, src int32) []int32 {
 // invariant because claims only happen in the level a vertex is first
 // reachable.
 type bfsND struct {
-	g      *input.Graph
+	*bfsInput
 	levels []int32
-	want   lazy[[]int32]
-	grain  int
 }
 
-func newBFSND(seed uint64, scale float64) Workload {
-	n := scaled(20000, scale)
-	g := input.RandLocalGraph(seed, 5, n)
-	return &bfsND{g: g, want: deferred(func() []int32 { return serialBFSLevels(g, 0) }), grain: 64}
+// bfsInput is the graph both BFS kernels search and its reference levels.
+type bfsInput struct {
+	g     *input.Graph
+	want  *lazy[[]int32]
+	grain int
 }
+
+func newBFSInput(seed uint64, scale float64) bfsInput {
+	g := input.RandLocalGraph(seed, 5, scaled(20000, scale))
+	return bfsInput{g: g, want: deferred(func() []int32 { return serialBFSLevels(g, 0) }), grain: 64}
+}
+
+type bfsNDInput struct{ bfsInput }
+
+func prepareBFSND(seed uint64, scale float64) Input { return &bfsNDInput{newBFSInput(seed, scale)} }
+
+func (in *bfsNDInput) New() Workload { return &bfsND{bfsInput: &in.bfsInput} }
 
 func (k *bfsND) Run(r *wsrt.Run) {
 	g := k.g
@@ -59,9 +69,7 @@ func (k *bfsND) Run(r *wsrt.Run) {
 	k.levels[0] = 0
 	frontier := []int32{0}
 	for lvl := int32(1); len(frontier) > 0; lvl++ {
-		// Leaf ranges come from recursive binary splitting, so they are
-		// identified by their (unique) start index, not by lo/grain.
-		nextPer := make([][]int32, len(frontier))
+		var nextPer []leafResult[[]int32]
 		r.ParallelFor(0, len(frontier), k.grain, func(c *wsrt.Ctx, lo, hi int) {
 			var local []int32
 			visits := 0
@@ -74,15 +82,15 @@ func (k *bfsND) Run(r *wsrt.Run) {
 					}
 				}
 			}
-			nextPer[lo] = local
+			nextPer = append(nextPer, leafResult[[]int32]{lo, local})
 			c.Work(float64(visits)*costVisit + float64(len(local))*costWrite)
 			c.Touch(float64(visits) * 8)
 		})
 		// Serial frontier concatenation (PBBS uses a parallel pack; the
 		// concatenation cost here is charged proportionally).
 		var next []int32
-		for _, l := range nextPer {
-			next = append(next, l...)
+		for _, l := range inOrder(nextPer) {
+			next = append(next, l.v...)
 		}
 		r.SerialWork(float64(len(next))*2 + 200)
 		frontier = next
@@ -100,18 +108,16 @@ func (k *bfsND) Check() error {
 // into each newly reachable vertex) and commit (the winning parent adds the
 // vertex to the next frontier). The result is schedule-independent.
 type bfsD struct {
-	g      *input.Graph
+	*bfsInput
 	levels []int32
 	parent []int32
-	want   lazy[[]int32]
-	grain  int
 }
 
-func newBFSD(seed uint64, scale float64) Workload {
-	n := scaled(20000, scale)
-	g := input.RandLocalGraph(seed, 5, n)
-	return &bfsD{g: g, want: deferred(func() []int32 { return serialBFSLevels(g, 0) }), grain: 64}
-}
+type bfsDInput struct{ bfsInput }
+
+func prepareBFSD(seed uint64, scale float64) Input { return &bfsDInput{newBFSInput(seed, scale)} }
+
+func (in *bfsDInput) New() Workload { return &bfsD{bfsInput: &in.bfsInput} }
 
 func (k *bfsD) Run(r *wsrt.Run) {
 	g := k.g
@@ -143,7 +149,7 @@ func (k *bfsD) Run(r *wsrt.Run) {
 			c.Touch(float64(visits) * 8)
 		})
 		// Commit pass: the winning parent claims the vertex.
-		nextPer := make([][]int32, len(frontier))
+		var nextPer []leafResult[[]int32]
 		r.ParallelFor(0, len(frontier), k.grain, func(c *wsrt.Ctx, lo, hi int) {
 			var local []int32
 			visits := 0
@@ -157,13 +163,13 @@ func (k *bfsD) Run(r *wsrt.Run) {
 					}
 				}
 			}
-			nextPer[lo] = local
+			nextPer = append(nextPer, leafResult[[]int32]{lo, local})
 			c.Work(float64(visits)*costVisit + float64(len(local))*costWrite)
 			c.Touch(float64(visits) * 8)
 		})
 		var next []int32
-		for _, l := range nextPer {
-			next = append(next, l...)
+		for _, l := range inOrder(nextPer) {
+			next = append(next, l.v...)
 		}
 		r.SerialWork(float64(len(next))*2 + 200)
 		frontier = next
@@ -197,16 +203,20 @@ func (k *bfsD) Check() error {
 // ---- mis: maximal independent set with atomic claims (PBBS, ND) ----
 
 type mis struct {
-	g      *input.Graph
+	*misInput
 	status []int8 // 0 undecided, 1 in MIS, 2 excluded
-	grain  int
 }
 
-func newMIS(seed uint64, scale float64) Workload {
-	n := scaled(25000, scale)
-	g := input.RandLocalGraph(seed^0xa1, 5, n)
-	return &mis{g: g, grain: 64}
+type misInput struct {
+	g     *input.Graph
+	grain int
 }
+
+func prepareMIS(seed uint64, scale float64) Input {
+	return &misInput{g: input.RandLocalGraph(seed^0xa1, 5, scaled(25000, scale)), grain: 64}
+}
+
+func (in *misInput) New() Workload { return &mis{misInput: in} }
 
 func (k *mis) Run(r *wsrt.Run) {
 	g := k.g
@@ -270,15 +280,19 @@ func (k *mis) Check() error {
 // ---- sptree: spanning forest via concurrent union-find (PBBS, ND) ----
 
 type sptree struct {
-	n         int
-	edges     []input.Edge
+	*sptreeInput
 	parentUF  []int32
 	treeEdges int
-	wantComps lazy[int]
+}
+
+type sptreeInput struct {
+	n         int
+	edges     []input.Edge
+	wantComps *lazy[int]
 	grain     int
 }
 
-func newSptree(seed uint64, scale float64) Workload {
+func prepareSptree(seed uint64, scale float64) Input {
 	n := scaled(20000, scale)
 	edges := input.RandLocalEdges(seed^0x77, 5, n)
 	// Reference component count via serial union-find.
@@ -305,8 +319,10 @@ func newSptree(seed uint64, scale float64) Workload {
 		}
 		return comps
 	})
-	return &sptree{n: n, edges: edges, wantComps: wantComps, grain: 128}
+	return &sptreeInput{n: n, edges: edges, wantComps: wantComps, grain: 128}
 }
+
+func (in *sptreeInput) New() Workload { return &sptree{sptreeInput: in} }
 
 func (k *sptree) find(x int32, hops *int) int32 {
 	for k.parentUF[x] != x {
@@ -324,7 +340,6 @@ func (k *sptree) Run(r *wsrt.Run) {
 	}
 	k.treeEdges = 0
 	r.SerialWork(2000 + float64(k.n))
-	treePer := make([]int, len(k.edges))
 	r.ParallelFor(0, len(k.edges), k.grain, func(c *wsrt.Ctx, lo, hi int) {
 		hops := 0
 		local := 0
@@ -341,13 +356,10 @@ func (k *sptree) Run(r *wsrt.Run) {
 				local++
 			}
 		}
-		treePer[lo] = local
+		k.treeEdges += local // atomic per body; the sum is order-independent
 		c.Work(float64(hops)*6 + float64(hi-lo)*(costVisit+costArith))
 		c.Touch(float64(hops)*4 + float64(hi-lo)*8)
 	})
-	for _, t := range treePer {
-		k.treeEdges += t
-	}
 	r.SerialWork(float64(len(k.edges))/float64(k.grain)*4 + 500)
 }
 
@@ -376,18 +388,18 @@ func (k *sptree) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "bfs-d", Suite: "pbbs", Input: "randLocalGraph_J_5_20K", PM: "p",
-		Alpha: 2.8, Beta: 2.2, MPKI: 14.8, New: newBFSD,
+		Alpha: 2.8, Beta: 2.2, MPKI: 14.8, Prepare: prepareBFSD,
 	})
 	register(&Kernel{
 		Name: "bfs-nd", Suite: "pbbs", Input: "randLocalGraph_J_5_20K", PM: "p",
-		Alpha: 2.8, Beta: 2.2, MPKI: 12.3, New: newBFSND,
+		Alpha: 2.8, Beta: 2.2, MPKI: 12.3, Prepare: prepareBFSND,
 	})
 	register(&Kernel{
 		Name: "mis", Suite: "pbbs", Input: "randLocalGraph_J_5_25K", PM: "p",
-		Alpha: 3.6, Beta: 2.3, MPKI: 3.5, New: newMIS,
+		Alpha: 3.6, Beta: 2.3, MPKI: 3.5, Prepare: prepareMIS,
 	})
 	register(&Kernel{
 		Name: "sptree", Suite: "pbbs", Input: "randLocalGraph_E_5_20K", PM: "p",
-		Alpha: 2.8, Beta: 2.1, MPKI: 4.9, New: newSptree,
+		Alpha: 2.8, Beta: 2.1, MPKI: 4.9, Prepare: prepareSptree,
 	})
 }

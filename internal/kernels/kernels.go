@@ -15,7 +15,9 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"aaws/internal/wsrt"
 )
@@ -37,10 +39,23 @@ const (
 	costNode    = 30 // allocate/init a small record
 )
 
-// Workload is one prepared kernel instance: inputs generated, serial
-// reference available. Run executes the parallel version on the simulated
-// runtime; Check validates the parallel result. A Workload is single-use —
-// prepare a fresh one per run.
+// Input is one kernel's prepared input for a (seed, scale): the generated
+// data and, computed on first use, the serial reference Check compares
+// against. An Input is immutable once prepared, so any number of runs may
+// share it, in turn or at once; a batch prepares one per (kernel, seed,
+// scale) and runs every variant cell on it.
+//
+// New returns a Workload for one run. The Workload owns everything its Run
+// writes — output buffers, and a private copy of any input data Run
+// reorders or updates in place — and reads the rest from the Input.
+type Input interface {
+	New() Workload
+}
+
+// Workload is one run's state on a shared Input. Run executes the parallel
+// version on the simulated runtime; Check validates the parallel result
+// against the Input's serial reference. A Workload is single-use; call
+// Input.New again for the next run.
 type Workload interface {
 	Run(r *wsrt.Run)
 	Check() error
@@ -49,26 +64,26 @@ type Workload interface {
 // lazy defers a Check-only serial reference. Sweeps run with Check=false
 // and must not pay for references they never read — several references
 // (matmul's serial product, nbody's direct sums, suffix arrays) cost as
-// much as the workload itself. The closure runs at most once, on first
-// get; anything it captures must be unaffected by Run, so constructors
-// snapshot inputs that Run mutates (a copy is far cheaper than the
-// reference computation it defers). Laziness never touches the simulated
-// schedule: references are host-side bookkeeping, and the instruction
-// costs charged during Run are computed by Run itself.
+// much as the workload itself. The function runs at most once, on first
+// get, and may read only the Input it belongs to, which Run never writes.
+// Concurrent gets are safe. Laziness never touches the simulated schedule:
+// references are host-side bookkeeping, and the instruction costs charged
+// during Run are computed by Run itself.
 type lazy[T any] struct {
-	f func() T
-	v T
+	once sync.Once
+	f    func() T
+	v    T
 }
 
 // deferred wraps f as a lazily-computed value.
-func deferred[T any](f func() T) lazy[T] { return lazy[T]{f: f} }
+func deferred[T any](f func() T) *lazy[T] { return &lazy[T]{f: f} }
 
 // get computes the value on first use and caches it.
 func (l *lazy[T]) get() T {
-	if l.f != nil {
+	l.once.Do(func() {
 		l.v = l.f()
 		l.f = nil
-	}
+	})
 	return l.v
 }
 
@@ -86,9 +101,14 @@ type Kernel struct {
 	// are excluded from All/Names so the default sweep matrix — and every
 	// fingerprint pinned over it — keeps its original 22 rows.
 	Extension bool
-	// New prepares a fresh workload. scale multiplies the default input
-	// size (1.0 = this repo's default, ~10x smaller than the paper).
-	New func(seed uint64, scale float64) Workload
+	// Prepare generates the kernel's input. scale multiplies the default
+	// input size (1.0 = this repo's default, ~10x smaller than the paper).
+	Prepare func(seed uint64, scale float64) Input
+}
+
+// New prepares an input and one workload on it.
+func (k *Kernel) New(seed uint64, scale float64) Workload {
+	return k.Prepare(seed, scale).New()
 }
 
 var registry []*Kernel
@@ -140,6 +160,22 @@ func Names() []string {
 		out[i] = k.Name
 	}
 	return out
+}
+
+// leafResult is one leaf's result of a ParallelFor or ParallelRange. Leaves
+// come from recursive binary splitting, so a leaf is identified by its
+// (unique) start index lo, not by lo/grain.
+type leafResult[T any] struct {
+	lo int
+	v  T
+}
+
+// inOrder sorts leaf results by start index: the order an array indexed
+// by leaf start would hold them in, without allocating one slot per
+// element.
+func inOrder[T any](rs []leafResult[T]) []leafResult[T] {
+	slices.SortFunc(rs, func(a, b leafResult[T]) int { return a.lo - b.lo })
+	return rs
 }
 
 // scaled applies the size multiplier with a sane floor.
@@ -199,16 +235,17 @@ func sortedCopyStr(in []string) []string {
 	return out
 }
 
-// strCmpCost returns the charged cost of comparing two strings (shared
-// prefix length + 1 characters inspected).
-func strCmpCost(a, b string) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// strLess reports whether a < b, together with the charged cost of the
+// comparison (shared prefix length + 1 characters inspected), in one pass.
+func strLess(a, b string) (bool, float64) {
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
 	}
-	return float64((i + 1) * costCmpStr)
+	cost := float64((i + 1) * costCmpStr)
+	if i < n {
+		return a[i] < b[i], cost
+	}
+	return len(a) < len(b), cost
 }

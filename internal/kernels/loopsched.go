@@ -32,25 +32,28 @@ const (
 	loopMinChunk  = 16   // dynamic/guided chunk floor
 )
 
-// loopSched is one member of the family; chunks partitions [0, n) given the
+// loopInput is one member of the family; chunks partitions [0, n) given the
 // worker count.
-type loopSched struct {
+type loopInput struct {
 	n      int
 	in     []float64
-	out    []float64
-	want   lazy[[]float64]
+	want   *lazy[[]float64]
 	chunks func(n, workers int) [][2]int
 }
 
-func newLoopSched(seed uint64, scale float64, chunks func(n, workers int) [][2]int) Workload {
+type loopSched struct {
+	*loopInput
+	out []float64
+}
+
+func prepareLoop(seed uint64, scale float64, chunks func(n, workers int) [][2]int) Input {
 	n := scaled(loopIters, scale)
 	rng := sim.NewRand(seed)
 	in := make([]float64, n)
 	for i := range in {
 		in[i] = rng.Float64()
 	}
-	k := &loopSched{n: n, in: in, out: make([]float64, n), chunks: chunks}
-	// Run never writes in, so the reference closure reuses it directly.
+	k := &loopInput{n: n, in: in, chunks: chunks}
 	k.want = deferred(func() []float64 {
 		w := make([]float64, n)
 		for i := range w {
@@ -60,6 +63,8 @@ func newLoopSched(seed uint64, scale float64, chunks func(n, workers int) [][2]i
 	})
 	return k
 }
+
+func (in *loopInput) New() Workload { return &loopSched{loopInput: in, out: make([]float64, in.n)} }
 
 // loopBody is the per-iteration computation: a Horner-style polynomial whose
 // depth grows with i, realizing the triangular cost profile as real work.
@@ -157,22 +162,22 @@ func init() {
 	register(&Kernel{
 		Name: "loop-static", Suite: "ext", Input: "4096 iters triangular", PM: "p",
 		Alpha: 2.2, Beta: 1.9, MPKI: 0.02, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLoopSched(seed, scale, staticChunks)
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLoop(seed, scale, staticChunks)
 		},
 	})
 	register(&Kernel{
 		Name: "loop-dynamic", Suite: "ext", Input: "4096 iters triangular", PM: "p",
 		Alpha: 2.2, Beta: 1.9, MPKI: 0.02, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLoopSched(seed, scale, dynamicChunks)
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLoop(seed, scale, dynamicChunks)
 		},
 	})
 	register(&Kernel{
 		Name: "loop-guided", Suite: "ext", Input: "4096 iters triangular", PM: "p",
 		Alpha: 2.2, Beta: 1.9, MPKI: 0.02, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLoopSched(seed, scale, guidedChunks)
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLoop(seed, scale, guidedChunks)
 		},
 	})
 }

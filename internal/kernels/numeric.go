@@ -11,13 +11,18 @@ import (
 // ---- matmul: recursive blocked matrix multiply (Cilk) ----
 
 type matmul struct {
-	n       int
-	a, b, c []float64
-	want    lazy[[]float64]
-	leaf    int
+	*matmulInput
+	c []float64
 }
 
-func newMatmul(seed uint64, scale float64) Workload {
+type matmulInput struct {
+	n    int
+	a, b []float64
+	want *lazy[[]float64]
+	leaf int
+}
+
+func prepareMatmul(seed uint64, scale float64) Input {
 	n := 128
 	if scale > 1.5 {
 		n = 192
@@ -32,9 +37,8 @@ func newMatmul(seed uint64, scale float64) Workload {
 		a[i] = rng.Float64()
 		b[i] = rng.Float64()
 	}
-	k := &matmul{n: n, a: a, b: b, c: make([]float64, n*n), leaf: 16}
+	k := &matmulInput{n: n, a: a, b: b, leaf: 16}
 	// Reference: same blocked order serially for bit-exact comparison.
-	// Run never writes a or b, so the closure needs no snapshot.
 	k.want = deferred(func() []float64 {
 		w := make([]float64, n*n)
 		k.blockSerial(w, 0, 0, 0, 0, 0, 0, n)
@@ -43,9 +47,13 @@ func newMatmul(seed uint64, scale float64) Workload {
 	return k
 }
 
+func (in *matmulInput) New() Workload {
+	return &matmul{matmulInput: in, c: make([]float64, in.n*in.n)}
+}
+
 // blockSerial computes C[ci:ci+s, cj:cj+s] += A[ai.., ak..] * B[bk.., bj..]
 // recursively in the same order as the parallel version.
-func (k *matmul) blockSerial(c []float64, ci, cj, ai, ak, bk, bj, s int) {
+func (k *matmulInput) blockSerial(c []float64, ci, cj, ai, ak, bk, bj, s int) {
 	if s <= k.leaf {
 		n := k.n
 		for i := 0; i < s; i++ {
@@ -122,12 +130,17 @@ func (k *matmul) Check() error {
 // ---- clsky: tiled Cholesky factorization (Cilk "cholesky" stand-in) ----
 
 type clsky struct {
-	n, tile int
-	a       []float64 // factored in place (lower triangle)
-	want    lazy[[]float64]
+	*clskyInput
+	a []float64 // a copy of spd, factored in place (lower triangle)
 }
 
-func newClsky(seed uint64, scale float64) Workload {
+type clskyInput struct {
+	n, tile int
+	spd     []float64 // the symmetric positive-definite matrix
+	want    *lazy[[]float64]
+}
+
+func prepareClsky(seed uint64, scale float64) Input {
 	n := scaled(144, scale)
 	tile := 16
 	n = (n / tile) * tile
@@ -154,9 +167,8 @@ func newClsky(seed uint64, scale float64) Workload {
 			a[j*n+i] = s
 		}
 	}
-	k := &clsky{n: n, tile: tile, a: append([]float64(nil), a...)}
-	// Serial reference using the identical tiled algorithm; a stays
-	// pristine (k.a is its own copy), so the closure factors it on demand.
+	k := &clskyInput{n: n, tile: tile, spd: a}
+	// Serial reference using the identical tiled algorithm.
 	k.want = deferred(func() []float64 {
 		w := append([]float64(nil), a...)
 		nt := n / tile
@@ -176,8 +188,13 @@ func newClsky(seed uint64, scale float64) Workload {
 	return k
 }
 
+// New copies the matrix, which Run factors in place.
+func (in *clskyInput) New() Workload {
+	return &clsky{clskyInput: in, a: append([]float64(nil), in.spd...)}
+}
+
 // potrf factors diagonal tile (kk,kk) in place.
-func (k *clsky) potrf(a []float64, kk int) {
+func (k *clskyInput) potrf(a []float64, kk int) {
 	n, t := k.n, k.tile
 	base := kk * t
 	for j := 0; j < t; j++ {
@@ -198,7 +215,7 @@ func (k *clsky) potrf(a []float64, kk int) {
 }
 
 // trsm solves tile (i,kk) against the factored diagonal tile (kk,kk).
-func (k *clsky) trsm(a []float64, i, kk int) {
+func (k *clskyInput) trsm(a []float64, i, kk int) {
 	n, t := k.n, k.tile
 	ib, kb := i*t, kk*t
 	for r := 0; r < t; r++ {
@@ -213,7 +230,7 @@ func (k *clsky) trsm(a []float64, i, kk int) {
 }
 
 // update applies tile (i,kk)*(j,kk)^T to tile (i,j).
-func (k *clsky) update(a []float64, i, j, kk int) {
+func (k *clskyInput) update(a []float64, i, j, kk int) {
 	n, t := k.n, k.tile
 	ib, jb, kb := i*t, j*t, kk*t
 	for r := 0; r < t; r++ {
@@ -272,12 +289,17 @@ func (k *clsky) Check() error {
 // ---- heat: 2D Jacobi heat diffusion (Cilk) ----
 
 type heat struct {
-	nx, ny, steps int
-	grid, next    []float64
-	want          lazy[[]float64]
+	*heatInput
+	grid, next []float64
 }
 
-func newHeat(seed uint64, scale float64) Workload {
+type heatInput struct {
+	nx, ny, steps int
+	init          []float64 // the initial grid
+	want          *lazy[[]float64]
+}
+
+func prepareHeat(seed uint64, scale float64) Input {
 	nx, ny := scaled(256, scale), 64
 	steps := 20
 	rng := sim.NewRand(seed)
@@ -285,9 +307,7 @@ func newHeat(seed uint64, scale float64) Workload {
 	for i := range grid {
 		grid[i] = rng.Float64() * 100
 	}
-	k := &heat{nx: nx, ny: ny, steps: steps,
-		grid: append([]float64(nil), grid...), next: make([]float64, nx*ny)}
-	// Serial reference from the pristine initial grid (k.grid is a copy).
+	k := &heatInput{nx: nx, ny: ny, steps: steps, init: grid}
 	k.want = deferred(func() []float64 {
 		cur := append([]float64(nil), grid...)
 		nxt := make([]float64, nx*ny)
@@ -300,8 +320,14 @@ func newHeat(seed uint64, scale float64) Workload {
 	return k
 }
 
+// New copies the initial grid: Run steps back and forth between two
+// buffers it owns.
+func (in *heatInput) New() Workload {
+	return &heat{heatInput: in, grid: append([]float64(nil), in.init...), next: make([]float64, len(in.init))}
+}
+
 // step applies one Jacobi iteration from src into dst.
-func (k *heat) step(src, dst []float64) {
+func (k *heatInput) step(src, dst []float64) {
 	nx, ny := k.nx, k.ny
 	for x := 0; x < nx; x++ {
 		for y := 0; y < ny; y++ {
@@ -370,10 +396,14 @@ func (k *heat) Check() error {
 // ---- bscholes: Black-Scholes option pricing (PARSEC) ----
 
 type bscholes struct {
+	*bscholesInput
+	prices []float64
+}
+
+type bscholesInput struct {
 	opts   []input.Option
 	rounds int
-	prices []float64
-	want   lazy[[]float64]
+	want   *lazy[[]float64]
 	grain  int
 }
 
@@ -401,10 +431,10 @@ func price(o input.Option) float64 {
 	return o.Strike*math.Exp(-o.Rate*o.Time)*cnd(-d2) - o.Spot*cnd(-d1)
 }
 
-func newBscholes(seed uint64, scale float64) Workload {
+func prepareBscholes(seed uint64, scale float64) Input {
 	n := scaled(1024, scale)
 	opts := input.Options(seed, n)
-	k := &bscholes{opts: opts, rounds: 8, grain: max(1, n/64)}
+	k := &bscholesInput{opts: opts, rounds: 8, grain: max(1, n/64)}
 	k.want = deferred(func() []float64 {
 		w := make([]float64, len(opts))
 		for i, o := range opts {
@@ -414,6 +444,8 @@ func newBscholes(seed uint64, scale float64) Workload {
 	})
 	return k
 }
+
+func (in *bscholesInput) New() Workload { return &bscholes{bscholesInput: in} }
 
 func (k *bscholes) Run(r *wsrt.Run) {
 	n := len(k.opts)
@@ -447,18 +479,18 @@ func max(a, b int) int {
 func init() {
 	register(&Kernel{
 		Name: "clsky", Suite: "cilk", Input: "spd_144x144_tiled16", PM: "rss",
-		Alpha: 2.4, Beta: 1.7, MPKI: 0.02, New: newClsky,
+		Alpha: 2.4, Beta: 1.7, MPKI: 0.02, Prepare: prepareClsky,
 	})
 	register(&Kernel{
 		Name: "heat", Suite: "cilk", Input: "-g 1 -nx 256 -ny 64 -nt 20", PM: "rss",
-		Alpha: 2.3, Beta: 2.1, MPKI: 0.04, New: newHeat,
+		Alpha: 2.3, Beta: 2.1, MPKI: 0.04, Prepare: prepareHeat,
 	})
 	register(&Kernel{
 		Name: "matmul", Suite: "cilk", Input: "128", PM: "rss",
-		Alpha: 2.0, Beta: 3.6, MPKI: 0.0, New: newMatmul,
+		Alpha: 2.0, Beta: 3.6, MPKI: 0.0, Prepare: prepareMatmul,
 	})
 	register(&Kernel{
 		Name: "bscholes", Suite: "parsec", Input: "1024 options", PM: "p",
-		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, New: newBscholes,
+		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, Prepare: prepareBscholes,
 	})
 }

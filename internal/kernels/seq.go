@@ -11,12 +11,16 @@ import (
 // ---- dict: batch hash-table insert + lookup (PBBS) ----
 
 type dict struct {
+	*dictInput
+	table []int32
+	found int
+}
+
+type dictInput struct {
 	keys    []int32
 	queries []int32
-	table   []int32
 	mask    int
-	found   int
-	want    lazy[int]
+	want    *lazy[int]
 	grain   int
 }
 
@@ -30,7 +34,7 @@ func hash32(x int32) uint32 {
 	return v
 }
 
-func newDict(seed uint64, scale float64) Workload {
+func prepareDict(seed uint64, scale float64) Input {
 	n := scaled(120000, scale)
 	keys := input.ExptSeqInt(seed, n)
 	queries := input.ExptSeqInt(seed^0xbeef, n/2)
@@ -52,8 +56,11 @@ func newDict(seed uint64, scale float64) Workload {
 	for tabSize < 2*n {
 		tabSize <<= 1
 	}
-	return &dict{keys: keys, queries: queries, want: want, mask: tabSize - 1,
-		table: make([]int32, tabSize), grain: 512}
+	return &dictInput{keys: keys, queries: queries, want: want, mask: tabSize - 1, grain: 512}
+}
+
+func (in *dictInput) New() Workload {
+	return &dict{dictInput: in, table: make([]int32, in.mask+1)}
 }
 
 func (k *dict) Run(r *wsrt.Run) {
@@ -82,7 +89,7 @@ func (k *dict) Run(r *wsrt.Run) {
 		c.Touch(float64(probes) * 64)
 	})
 	// Lookup phase.
-	foundPer := make([]int, len(k.queries))
+	k.found = 0
 	r.ParallelFor(0, len(k.queries), k.grain, func(c *wsrt.Ctx, lo, hi int) {
 		probes, local := 0, 0
 		for _, q := range k.queries[lo:hi] {
@@ -99,14 +106,10 @@ func (k *dict) Run(r *wsrt.Run) {
 				slot = (slot + 1) & k.mask
 			}
 		}
-		foundPer[lo] = local
+		k.found += local // atomic per body; the sum is order-independent
 		c.Work(float64(hi-lo)*costHash + float64(probes)*8)
 		c.Touch(float64(probes) * 64)
 	})
-	k.found = 0
-	for _, f := range foundPer {
-		k.found += f
-	}
 	r.SerialWork(float64(len(k.queries))/float64(k.grain)*4 + 500)
 }
 
@@ -120,12 +123,16 @@ func (k *dict) Check() error {
 // ---- rdups: remove duplicates by parallel hashing (PBBS) ----
 
 type rdups struct {
+	*rdupsInput
+	table []int32 // index of first claiming pair, -1 empty
+	kept  int
+}
+
+type rdupsInput struct {
 	words []string
 	vals  []int32
-	table []int32 // index of first claiming pair, -1 empty
 	mask  int
-	kept  int
-	want  lazy[int]
+	want  *lazy[int]
 	grain int
 }
 
@@ -138,7 +145,7 @@ func hashStr(s string) uint32 {
 	return h
 }
 
-func newRdups(seed uint64, scale float64) Workload {
+func prepareRdups(seed uint64, scale float64) Input {
 	n := scaled(100000, scale)
 	words, vals := input.TrigramPairs(seed, n)
 	want := deferred(func() int {
@@ -152,8 +159,11 @@ func newRdups(seed uint64, scale float64) Workload {
 	for tabSize < 2*n {
 		tabSize <<= 1
 	}
-	return &rdups{words: words, vals: vals, want: want, mask: tabSize - 1,
-		table: make([]int32, tabSize), grain: 512}
+	return &rdupsInput{words: words, vals: vals, want: want, mask: tabSize - 1, grain: 512}
+}
+
+func (in *rdupsInput) New() Workload {
+	return &rdups{rdupsInput: in, table: make([]int32, in.mask+1)}
 }
 
 func (k *rdups) Run(r *wsrt.Run) {
@@ -161,7 +171,7 @@ func (k *rdups) Run(r *wsrt.Run) {
 		k.table[i] = -1
 	}
 	r.SerialWork(2000 + float64(len(k.table))/16)
-	keptPer := make([]int, len(k.words))
+	k.kept = 0
 	r.ParallelFor(0, len(k.words), k.grain, func(c *wsrt.Ctx, lo, hi int) {
 		probes, local := 0, 0
 		cost := 0.0
@@ -184,14 +194,10 @@ func (k *rdups) Run(r *wsrt.Run) {
 				slot = (slot + 1) & k.mask
 			}
 		}
-		keptPer[lo] = local
+		k.kept += local // atomic per body; the sum is order-independent
 		c.Work(cost + float64(probes)*8 + float64(hi-lo)*costHash)
 		c.Touch(float64(probes) * 64)
 	})
-	k.kept = 0
-	for _, f := range keptPer {
-		k.kept += f
-	}
 	r.SerialWork(float64(len(k.words))/float64(k.grain)*4 + 500)
 }
 
@@ -205,9 +211,13 @@ func (k *rdups) Check() error {
 // ---- sarray: suffix array by parallel prefix doubling (PBBS) ----
 
 type sarray struct {
+	*sarrayInput
+	sa []int32
+}
+
+type sarrayInput struct {
 	text []byte
-	sa   []int32
-	want lazy[[]int32]
+	want *lazy[[]int32]
 }
 
 func serialSuffixArray(text []byte) []int32 {
@@ -230,11 +240,12 @@ func serialSuffixArray(text []byte) []int32 {
 	return sa
 }
 
-func newSarray(seed uint64, scale float64) Workload {
-	n := scaled(10000, scale)
-	text := input.TrigramString(seed, n)
-	return &sarray{text: text, want: deferred(func() []int32 { return serialSuffixArray(text) })}
+func prepareSarray(seed uint64, scale float64) Input {
+	text := input.TrigramString(seed, scaled(10000, scale))
+	return &sarrayInput{text: text, want: deferred(func() []int32 { return serialSuffixArray(text) })}
 }
+
+func (in *sarrayInput) New() Workload { return &sarray{sarrayInput: in} }
 
 // saCtx carries the prefix-doubling state across phases.
 type saCtx struct {
@@ -367,14 +378,14 @@ func (k *sarray) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "dict", Suite: "pbbs", Input: "exptSeq_120K_int", PM: "p",
-		Alpha: 2.8, Beta: 1.7, MPKI: 7.0, New: newDict,
+		Alpha: 2.8, Beta: 1.7, MPKI: 7.0, Prepare: prepareDict,
 	})
 	register(&Kernel{
 		Name: "rdups", Suite: "pbbs", Input: "trigramSeq_100K_pair_int", PM: "p",
-		Alpha: 2.6, Beta: 1.7, MPKI: 7.6, New: newRdups,
+		Alpha: 2.6, Beta: 1.7, MPKI: 7.6, Prepare: prepareRdups,
 	})
 	register(&Kernel{
 		Name: "sarray", Suite: "pbbs", Input: "trigramString_10K", PM: "p",
-		Alpha: 2.5, Beta: 2.3, MPKI: 10.0, New: newSarray,
+		Alpha: 2.5, Beta: 2.3, MPKI: 10.0, Prepare: prepareSarray,
 	})
 }

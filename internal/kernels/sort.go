@@ -83,8 +83,9 @@ func serialSortCostF64(a []float64) float64 {
 func serialSortCostStr(a []string) float64 {
 	cost := 0.0
 	sort.Slice(a, func(i, j int) bool {
-		cost += strCmpCost(a[i], a[j])
-		return a[i] < a[j]
+		less, c := strLess(a[i], a[j])
+		cost += c
+		return less
 	})
 	return cost + float64(len(a))*costSwap
 }
@@ -99,24 +100,38 @@ func serialSortCostInt32(a []int32) float64 {
 	return cost + float64(len(a))*costSwap
 }
 
+// sortInput is a sort kernel's input: the data and, on first use, its
+// sorted copy.
+type sortInput[T any] struct {
+	data []T
+	want *lazy[[]T]
+}
+
+func newSortInput[T any](data []T, sortedCopy func([]T) []T) sortInput[T] {
+	return sortInput[T]{data: data, want: deferred(func() []T { return sortedCopy(data) })}
+}
+
 // ---- cilksort: recursive merge sort with parallel merge (Cilk suite) ----
 
 type cilksort struct {
 	data []int32
 	tmp  []int32
-	want lazy[[]int32]
+	want *lazy[[]int32]
 	leaf int
 }
 
-func newCilksort(seed uint64, scale float64) Workload {
-	n := scaled(60000, scale)
-	data := input.RandomSeqInt(seed, n)
-	// Run sorts data in place, so the reference closure snapshots it now.
-	orig := append([]int32(nil), data...)
+type cilksortInput struct{ sortInput[int32] }
+
+func prepareCilksort(seed uint64, scale float64) Input {
+	return &cilksortInput{newSortInput(input.RandomSeqInt(seed, scaled(60000, scale)), sortedCopyInt32)}
+}
+
+// New copies the data, which Run sorts in place.
+func (in *cilksortInput) New() Workload {
 	return &cilksort{
-		data: data,
-		tmp:  make([]int32, n),
-		want: deferred(func() []int32 { return sortedCopyInt32(orig) }),
+		data: append([]int32(nil), in.data...),
+		tmp:  make([]int32, len(in.data)),
+		want: in.want,
 		leaf: 512,
 	}
 }
@@ -218,15 +233,19 @@ func (k *cilksort) Check() error {
 // discusses.
 type qsortF64 struct {
 	data []float64
-	want lazy[[]float64]
+	want *lazy[[]float64]
 	leaf int
 }
 
-func newQsort1(seed uint64, scale float64) Workload {
-	n := scaled(25000, scale)
-	data := input.ExptSeqFloat(seed, n)
-	orig := append([]float64(nil), data...)
-	return &qsortF64{data: data, want: deferred(func() []float64 { return sortedCopyF64(orig) }), leaf: 256}
+type qsort1Input struct{ sortInput[float64] }
+
+func prepareQsort1(seed uint64, scale float64) Input {
+	return &qsort1Input{newSortInput(input.ExptSeqFloat(seed, scaled(25000, scale)), sortedCopyF64)}
+}
+
+// New copies the data, which Run sorts in place.
+func (in *qsort1Input) New() Workload {
+	return &qsortF64{data: append([]float64(nil), in.data...), want: in.want, leaf: 256}
 }
 
 func (k *qsortF64) Run(r *wsrt.Run) {
@@ -286,15 +305,19 @@ func (k *qsortF64) Check() error {
 // character.
 type qsortStr struct {
 	data []string
-	want lazy[[]string]
+	want *lazy[[]string]
 	leaf int
 }
 
-func newQsort2(seed uint64, scale float64) Workload {
-	n := scaled(30000, scale)
-	data := input.TrigramWords(seed, n)
-	orig := append([]string(nil), data...)
-	return &qsortStr{data: data, want: deferred(func() []string { return sortedCopyStr(orig) }), leaf: 256}
+type qsort2Input struct{ sortInput[string] }
+
+func prepareQsort2(seed uint64, scale float64) Input {
+	return &qsort2Input{newSortInput(input.TrigramWords(seed, scaled(30000, scale)), sortedCopyStr)}
+}
+
+// New copies the word list, which Run sorts in place.
+func (in *qsort2Input) New() Workload {
+	return &qsortStr{data: append([]string(nil), in.data...), want: in.want, leaf: 256}
 }
 
 func (k *qsortStr) Run(r *wsrt.Run) {
@@ -325,15 +348,17 @@ func (k *qsortStr) qsort(c *wsrt.Ctx, lo, hi int) {
 	i, j := lo, hi-1
 	for {
 		for {
-			cost += strCmpCost(a[i], p)
-			if !(a[i] < p) {
+			less, c := strLess(a[i], p)
+			cost += c
+			if !less {
 				break
 			}
 			i++
 		}
 		for {
-			cost += strCmpCost(a[j], p)
-			if !(a[j] > p) {
+			greater, c := strLess(p, a[j])
+			cost += c
+			if !greater {
 				break
 			}
 			j--
@@ -354,9 +379,10 @@ func (k *qsortStr) qsort(c *wsrt.Ctx, lo, hi int) {
 }
 
 func (k *qsortStr) Check() error {
+	want := k.want.get()
 	for i := range k.data {
-		if k.data[i] != k.want.get()[i] {
-			return fmt.Errorf("qsort-2: element %d: %q != %q", i, k.data[i], k.want.get()[i])
+		if k.data[i] != want[i] {
+			return fmt.Errorf("qsort-2: element %d: %q != %q", i, k.data[i], want[i])
 		}
 	}
 	return nil
@@ -364,18 +390,24 @@ func (k *qsortStr) Check() error {
 
 // ---- sampsort: sample sort with nested parallelism (PBBS) ----
 
+// sampsort reads data, which its input shares, and leaves the sorted
+// result in out.
 type sampsort struct {
 	data    []float64
-	want    lazy[[]float64]
+	out     []float64
+	want    *lazy[[]float64]
 	buckets int
 	blocks  int
 }
 
-func newSampsort(seed uint64, scale float64) Workload {
-	n := scaled(25000, scale)
-	data := input.ExptSeqFloat(seed^0x5a, n)
-	orig := append([]float64(nil), data...)
-	return &sampsort{data: data, want: deferred(func() []float64 { return sortedCopyF64(orig) }), buckets: 32, blocks: 32}
+type sampsortInput struct{ sortInput[float64] }
+
+func prepareSampsort(seed uint64, scale float64) Input {
+	return &sampsortInput{newSortInput(input.ExptSeqFloat(seed^0x5a, scaled(25000, scale)), sortedCopyF64)}
+}
+
+func (in *sampsortInput) New() Workload {
+	return &sampsort{data: in.data, want: in.want, buckets: 32, blocks: 32}
 }
 
 func (k *sampsort) Run(r *wsrt.Run) {
@@ -479,12 +511,12 @@ func (k *sampsort) Run(r *wsrt.Run) {
 			}
 		}, nil)
 	})
-	copy(k.data, scattered)
+	k.out = scattered
 	r.SerialWork(float64(n) * costWrite / 8) // final ownership copy (blocked)
 }
 
 func (k *sampsort) Check() error {
-	return checkEqualF64("sampsort", k.data, k.want.get())
+	return checkEqualF64("sampsort", k.out, k.want.get())
 }
 
 // ---- radix: LSD radix sort, parallel count+scatter per pass (PBBS) ----
@@ -492,22 +524,26 @@ func (k *sampsort) Check() error {
 type radix struct {
 	name   string
 	data   []int32
-	want   lazy[[]int32]
+	want   *lazy[[]int32]
 	blocks int
 }
 
-func newRadix1(seed uint64, scale float64) Workload {
-	n := scaled(80000, scale)
-	data := input.RandomSeqInt(seed, n)
-	orig := append([]int32(nil), data...)
-	return &radix{name: "radix-1", data: data, want: deferred(func() []int32 { return sortedCopyInt32(orig) }), blocks: 32}
+type radixInput struct {
+	sortInput[int32]
+	name string
 }
 
-func newRadix2(seed uint64, scale float64) Workload {
-	n := scaled(60000, scale)
-	data := input.ExptSeqInt(seed, n)
-	orig := append([]int32(nil), data...)
-	return &radix{name: "radix-2", data: data, want: deferred(func() []int32 { return sortedCopyInt32(orig) }), blocks: 32}
+func prepareRadix1(seed uint64, scale float64) Input {
+	return &radixInput{newSortInput(input.RandomSeqInt(seed, scaled(80000, scale)), sortedCopyInt32), "radix-1"}
+}
+
+func prepareRadix2(seed uint64, scale float64) Input {
+	return &radixInput{newSortInput(input.ExptSeqInt(seed, scaled(60000, scale)), sortedCopyInt32), "radix-2"}
+}
+
+// New copies the data, which Run's scatter passes overwrite.
+func (in *radixInput) New() Workload {
+	return &radix{name: in.name, data: append([]int32(nil), in.data...), want: in.want, blocks: 32}
 }
 
 func (k *radix) Run(r *wsrt.Run) {
@@ -589,26 +625,26 @@ func (k *radix) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "qsort-1", Suite: "pbbs", Input: "exptSeq_25K_double", PM: "rss",
-		Alpha: 2.5, Beta: 1.7, MPKI: 0.0, New: newQsort1,
+		Alpha: 2.5, Beta: 1.7, MPKI: 0.0, Prepare: prepareQsort1,
 	})
 	register(&Kernel{
 		Name: "qsort-2", Suite: "pbbs", Input: "trigramSeq_30K", PM: "rss",
-		Alpha: 3.1, Beta: 1.9, MPKI: 0.0, New: newQsort2,
+		Alpha: 3.1, Beta: 1.9, MPKI: 0.0, Prepare: prepareQsort2,
 	})
 	register(&Kernel{
 		Name: "sampsort", Suite: "pbbs", Input: "exptSeq_25K_double", PM: "np",
-		Alpha: 2.5, Beta: 1.7, MPKI: 0.11, New: newSampsort,
+		Alpha: 2.5, Beta: 1.7, MPKI: 0.11, Prepare: prepareSampsort,
 	})
 	register(&Kernel{
 		Name: "radix-1", Suite: "pbbs", Input: "randomSeq_80K_int", PM: "p",
-		Alpha: 2.2, Beta: 1.8, MPKI: 7.7, New: newRadix1,
+		Alpha: 2.2, Beta: 1.8, MPKI: 7.7, Prepare: prepareRadix1,
 	})
 	register(&Kernel{
 		Name: "radix-2", Suite: "pbbs", Input: "exptSeq_60K_int", PM: "p",
-		Alpha: 2.1, Beta: 1.8, MPKI: 7.5, New: newRadix2,
+		Alpha: 2.1, Beta: 1.8, MPKI: 7.5, Prepare: prepareRadix2,
 	})
 	register(&Kernel{
 		Name: "cilksort", Suite: "cilk", Input: "randomSeq_60K_int", PM: "rss",
-		Alpha: 3.7, Beta: 1.3, MPKI: 2.3, New: newCilksort,
+		Alpha: 3.7, Beta: 1.3, MPKI: 2.3, Prepare: prepareCilksort,
 	})
 }

@@ -15,15 +15,19 @@ import (
 // schedule — but branch-and-bound always returns the optimum, which Check
 // verifies against dynamic programming.
 type ksack struct {
+	*ksackInput
+	best int32
+}
+
+type ksackInput struct {
 	weights []int32
 	values  []int32
 	cap     int32
-	best    int32
 	want    int32
 	spawnD  int
 }
 
-func newKsack(seed uint64, scale float64) Workload {
+func prepareKsack(seed uint64, scale float64) Input {
 	n := 24
 	rng := sim.NewRand(seed)
 	w := make([]int32, n)
@@ -40,7 +44,7 @@ func newKsack(seed uint64, scale float64) Workload {
 	if scale > 1.5 {
 		capacity = capacity * 12 / 11
 	}
-	k := &ksack{weights: w, values: v, cap: capacity, spawnD: 11}
+	k := &ksackInput{weights: w, values: v, cap: capacity, spawnD: 11}
 	// Reference optimum via DP over weights.
 	dp := make([]int32, capacity+1)
 	for i := 0; i < n; i++ {
@@ -54,9 +58,11 @@ func newKsack(seed uint64, scale float64) Workload {
 	return k
 }
 
+func (in *ksackInput) New() Workload { return &ksack{ksackInput: in} }
+
 // bound returns an optimistic value bound: current value plus all remaining
 // item values (a simple but effective fractional-free bound).
-func (k *ksack) bound(item int, val int32) int32 {
+func (k *ksackInput) bound(item int, val int32) int32 {
 	b := val
 	for i := item; i < len(k.weights); i++ {
 		b += k.values[i]
@@ -125,16 +131,20 @@ func (k *ksack) Check() error {
 // geometric tree. Tasks are spawned down to a depth threshold; deeper
 // subtrees are traversed inline (matching UTS's chunked task sizes).
 type uts struct {
+	*utsInput
+	count int64
+}
+
+type utsInput struct {
 	b0       float64
 	maxDepth int
 	spawnD   int
 	rootSeed uint64
-	count    int64
-	want     lazy[int64]
+	want     *lazy[int64]
 }
 
 // utsChildren derives node id's child count deterministically.
-func (k *uts) utsChildren(id uint64, depth int) int {
+func (k *utsInput) utsChildren(id uint64, depth int) int {
 	if depth >= k.maxDepth {
 		return 0
 	}
@@ -156,19 +166,13 @@ func (k *uts) utsChildren(id uint64, depth int) int {
 	// inverse-geometric draw
 	q := 1 - p
 	acc := p
+	qn := 1.0 // q^n, multiplied up left to right
 	for u > acc && n < 16 {
 		n++
-		acc += p * pow(q, n)
+		qn *= q
+		acc += p * qn
 	}
 	return n
-}
-
-func pow(x float64, n int) float64 {
-	r := 1.0
-	for i := 0; i < n; i++ {
-		r *= x
-	}
-	return r
 }
 
 // childID derives the ith child's id.
@@ -178,16 +182,17 @@ func childID(id uint64, i int) uint64 {
 	return z ^ (z >> 32)
 }
 
-func (k *uts) countSerial(id uint64, depth int) int64 {
+func (k *utsInput) countSerial(id uint64, depth int) int64 {
 	n := int64(1)
-	for i := 0; i < k.utsChildren(id, depth); i++ {
+	nc := k.utsChildren(id, depth)
+	for i := 0; i < nc; i++ {
 		n += k.countSerial(childID(id, i), depth+1)
 	}
 	return n
 }
 
-func newUTS(seed uint64, scale float64) Workload {
-	k := &uts{b0: 4.0, maxDepth: 15, spawnD: 6, rootSeed: seed * 2654435761}
+func prepareUTS(seed uint64, scale float64) Input {
+	k := &utsInput{b0: 4.0, maxDepth: 15, spawnD: 6, rootSeed: seed * 2654435761}
 	if scale > 1.5 {
 		k.b0 = 4.3
 	}
@@ -197,6 +202,8 @@ func newUTS(seed uint64, scale float64) Workload {
 	k.want = deferred(func() int64 { return k.countSerial(k.rootSeed, 0) })
 	return k
 }
+
+func (in *utsInput) New() Workload { return &uts{utsInput: in} }
 
 func (k *uts) explore(c *wsrt.Ctx, id uint64, depth int) {
 	k.count++ // atomic per body
@@ -236,10 +243,10 @@ func (k *uts) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "ksack", Suite: "cilk", Input: "knapsack-24-items", PM: "rss",
-		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, New: newKsack,
+		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, Prepare: prepareKsack,
 	})
 	register(&Kernel{
 		Name: "uts", Suite: "uts", Input: "-t 1 -a 2 -d 14 -b 3.4", PM: "np",
-		Alpha: 2.3, Beta: 2.0, MPKI: 0.02, New: newUTS,
+		Alpha: 2.3, Beta: 2.0, MPKI: 0.02, Prepare: prepareUTS,
 	})
 }

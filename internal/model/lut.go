@@ -77,12 +77,13 @@ func (m Mode) String() string {
 
 // GenerateLUT builds the DVFS lookup table for the paper's big.LITTLE
 // system (class 0 big, class 1 little), solving each entry with Optimize,
-// the paper's reference solver. All variants enable serial-sprinting (the
+// the paper's reference solver (its feasible point only: the table never
+// reads the unconstrained optimum). All variants enable serial-sprinting (the
 // aggressive baseline of Section III-C): during a flagged serial region the
 // active core sprints to VMax.
 func GenerateLUT(c Config, mode Mode) *LUT {
 	return fillLUT([]int{c.NBig, c.NLit}, c.Params.VF, mode, func(act []int, rest bool) []float64 {
-		r := Optimize(c, act[0], act[1], rest)
+		r := c.optimize(act[0], act[1], rest, false)
 		return []float64{r.Feasible.VBig, r.Feasible.VLit}
 	})
 }

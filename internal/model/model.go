@@ -170,11 +170,19 @@ func (h *hotModel) solveVoltage(cl power.CoreClass, n int, budget, lo, hi float6
 	if f(lo) > 0 || f(hi) < 0 {
 		return 0, false
 	}
+	// Stop at the fixed point: once an iteration moves neither bound, every
+	// later one would repeat it, so the result equals the full 200 rounds.
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
 		if f(mid) > 0 {
+			if hi == mid {
+				break
+			}
 			hi = mid
 		} else {
+			if lo == mid {
+				break
+			}
 			lo = mid
 		}
 	}
@@ -189,6 +197,14 @@ func (h *hotModel) solveVoltage(cl power.CoreClass, n int, budget, lo, hi float6
 // It panics if the active counts are out of range; it returns a zero Result
 // with Speedup* == 1 when no cores are active.
 func Optimize(c Config, nBA, nLA int, rest bool) Result {
+	return c.optimize(nBA, nLA, rest, true)
+}
+
+// optimize is Optimize; without withOptimal it skips the unconstrained
+// optimum, leaving Optimal and SpeedupOptimal zero. GenerateLUT reads only
+// the feasible point, and the two searches are independent, so the
+// feasible point is the same bits either way.
+func (c Config) optimize(nBA, nLA int, rest, withOptimal bool) Result {
 	if nBA < 0 || nBA > c.NBig || nLA < 0 || nLA > c.NLit {
 		panic(fmt.Sprintf("model: active counts %dB %dL out of range for %dB%dL system",
 			nBA, nLA, c.NBig, c.NLit))
@@ -203,13 +219,15 @@ func Optimize(c Config, nBA, nLA int, rest bool) Result {
 	budget := target - c.inactivePower(nBA, nLA, rest)
 	base := c.nominalIPS(nBA, nLA)
 
-	res.Optimal = c.best(nBA, nLA, budget, false)
-	res.Feasible = c.best(nBA, nLA, budget, true)
-	res.SpeedupOptimal = res.Optimal.IPS / base
-	res.SpeedupFeasible = res.Feasible.IPS / base
 	// Report total system power, not just the active set.
 	inact := c.inactivePower(nBA, nLA, rest)
-	res.Optimal.Pow += inact
+	if withOptimal {
+		res.Optimal = c.best(nBA, nLA, budget, false)
+		res.SpeedupOptimal = res.Optimal.IPS / base
+		res.Optimal.Pow += inact
+	}
+	res.Feasible = c.best(nBA, nLA, budget, true)
+	res.SpeedupFeasible = res.Feasible.IPS / base
 	res.Feasible.Pow += inact
 	return res
 }
@@ -252,10 +270,10 @@ func (c Config) best(nBA, nLA int, budget float64, feasible bool) Point {
 	// the little voltage derived from the power budget (clamped in
 	// feasible mode). Invalid candidates (budget overdrawn even at the
 	// little core's minimum voltage) score -Inf.
+	minP := h.activePower(0, nLA, 0, searchLo)
+	maxP := h.activePower(0, nLA, 0, searchHi)
 	eval := func(vb float64) (Point, float64) {
 		rem := budget - h.activePower(nBA, 0, vb, 0)
-		minP := h.activePower(0, nLA, 0, searchLo)
-		maxP := h.activePower(0, nLA, 0, searchHi)
 		var vl float64
 		switch {
 		case rem < minP:

@@ -99,11 +99,19 @@ func (h *nHot) voltageForMU(k int, mu, lo, hi float64) float64 {
 	if h.marginalUtility(k, hi) <= mu {
 		return hi
 	}
+	// Stop at the fixed point, as solveVoltage does: the result equals the
+	// full 100 rounds.
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
 		if h.marginalUtility(k, mid) > mu {
+			if hi == mid {
+				break
+			}
 			hi = mid
 		} else {
+			if lo == mid {
+				break
+			}
 			lo = mid
 		}
 	}
@@ -235,11 +243,19 @@ func OptimizeN(c NConfig, act []int, rest bool) NResult {
 		// Budget exceeds all-VMax power: pin high.
 		powerAt(muHi)
 	default:
+		// Stop at the fixed point; the voltages powerAt leaves behind are
+		// recomputed below, so stopping early changes no bit.
 		for i := 0; i < 200; i++ {
 			mid := (muLo + muHi) / 2
 			if powerAt(mid) > budget {
+				if muHi == mid {
+					break
+				}
 				muHi = mid
 			} else {
+				if muLo == mid {
+					break
+				}
 				muLo = mid
 			}
 		}
